@@ -164,8 +164,8 @@ NetResult RunConfig(int publishers, const std::vector<std::string>& subs,
 // a small active working set does real work: 64 broadcast subscribers drain
 // a MATCH fan-out storm and one pinger measures wakeup latency. The herd
 // proves that wakeup latency and fan-out throughput depend on the *active*
-// set, not the registered set — the property that separates epoll from the
-// legacy poll() loop, whose every pass walked all N connections.
+// set, not the registered set — the property that separates epoll from a
+// poll() loop, whose every pass walks all N connections.
 // ---------------------------------------------------------------------------
 
 constexpr int kFanoutSubscribers = 64;

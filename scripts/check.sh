@@ -46,7 +46,8 @@ run_tsan() {
     -DAPCM_BUILD_EXAMPLES=OFF
   cmake --build "${build_dir}" --target \
     engine_concurrent_test thread_pool_test metrics_test \
-    matcher_agreement_test net_server_test net_reactor_test event_trace_test
+    matcher_agreement_test net_server_test net_reactor_test event_trace_test \
+    cluster_router_test
   local repeat="${APCM_TSAN_REPEAT:-50}"
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/engine_concurrent_test" \
@@ -69,12 +70,19 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/net_server_test" \
     --gtest_repeat=3 --gtest_brief=1
-  # The epoll reactor's differential oracle across io_threads modes: N I/O
+  # The epoll reactor's direct-engine oracle at io_threads 1/2/4: N I/O
   # threads, cross-thread Enqueue handoff, accept sharding, and the Stop
   # drain all race under TSan here (failpoint scenarios skip: TSan builds
   # compile failpoints out).
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/net_reactor_test" \
+    --gtest_repeat=3 --gtest_brief=1
+  # The cluster router: backend links ride the reactor, so backend frames
+  # cross from I/O threads to the router thread through its inbox, next to
+  # client frames, topology commands, and the admin snapshot reader (the
+  # failpoint case skips, as above).
+  TSAN_OPTIONS="halt_on_error=1" \
+    "./${build_dir}/tests/cluster_router_test" \
     --gtest_repeat=3 --gtest_brief=1
   # The tracer's refcount lifecycle and the trace ring's seqlock under
   # multi-writer churn (the ring test hammers 4 writers against a
@@ -97,8 +105,8 @@ run_chaos() {
   # plus the durability kill matrix (ctest -L recovery: crash-seam recovery,
   # torn-tail fuzz, on-disk serialization faults) and the cluster tier's
   # differential oracle with router failpoints armed (ctest -L cluster) and
-  # the reactor's connection-scale suites (ctest -L net: the differential
-  # oracle across io_threads modes, edge-trigger corner replay, the
+  # the reactor's connection-scale suites (ctest -L net: the direct-engine
+  # oracle across io_threads 1/2/4, edge-trigger corner replay, the
   # slow-consumer herd, and the armed-failpoint soak).
   # The tee pipe is why pipefail matters: ctest's exit status must survive it.
   ctest --test-dir "${build_dir}" -L 'chaos|recovery|cluster|net' \

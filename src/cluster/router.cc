@@ -1,24 +1,13 @@
 #include "src/cluster/router.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "src/base/failpoint.h"
 #include "src/base/logging.h"
 #include "src/base/macros.h"
 #include "src/engine/exposition.h"
-#include "src/net/net_io.h"
 
 namespace apcm::cluster {
 
@@ -27,18 +16,21 @@ using net::FrameType;
 
 namespace {
 
-/// Idle poll interval; most wakeups arrive through the self-pipe.
-constexpr int kPollIntervalMs = 20;
-/// Per-connection read budget per loop pass.
-constexpr size_t kReadBudgetBytes = 256 * 1024;
+/// Idle wait of the router thread; paces reconnect retries and snapshot
+/// refreshes when no inbox traffic arrives.
+constexpr auto kIdleWait = std::chrono::milliseconds(20);
 /// How long Stop() keeps flushing write queues before giving up.
-constexpr auto kStopFlushDeadline = std::chrono::seconds(3);
+constexpr int kStopFlushDeadlineMs = 3000;
 /// Retained change-log depth (the full history's tail; seq numbers keep
 /// counting past it).
 constexpr size_t kChangeLogDepth = 1024;
 
-void SetNonBlocking(int fd) {
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+/// Reactor user_data of backend links: tells them apart from accepted
+/// client connections on the I/O threads.
+char kBackendLinkTag;
+
+bool IsBackendLink(const net::Reactor::ConnPtr& conn) {
+  return conn->user_data() == &kBackendLinkTag;
 }
 
 int64_t NowMs() {
@@ -93,13 +85,15 @@ ClusterRouter::ClusterRouter(ClusterOptions options)
   m_slow_consumers_ = metrics_.AddCounter(
       "apcm_cluster_slow_consumer_disconnects_total",
       "Clients dropped because their write queue overflowed.");
-  // Client sockets ride the shared epoll reactor; its instrument set lands
+  // Every socket rides the shared epoll reactor; its instrument set lands
   // in the router's registry alongside the cluster series.
   reactor_metrics_.Register(metrics_);
   reactor_metrics_.bytes_in = metrics_.AddCounter(
-      "apcm_net_bytes_in_total", "Bytes read from client connections.");
+      "apcm_net_bytes_in_total",
+      "Bytes read from client and backend connections.");
   reactor_metrics_.bytes_out = metrics_.AddCounter(
-      "apcm_net_bytes_out_total", "Bytes written to client connections.");
+      "apcm_net_bytes_out_total",
+      "Bytes written to client and backend connections.");
   metrics_.AddGaugeFn("apcm_cluster_change_seq",
                       "Latest subscription change-log sequence number.",
                       [this] {
@@ -134,45 +128,14 @@ Status ClusterRouter::Start() {
       static_cast<uint32_t>(options_.backends.size()));
   backends_.clear();
   for (size_t i = 0; i < options_.backends.size(); ++i) {
-    backends_.push_back(std::make_unique<Backend>(
-        options_.backends[i], static_cast<uint32_t>(i),
-        options_.max_frame_bytes));
-  }
-  auto abort_backends = [this] {
-    for (auto& b : backends_) {
-      if (b->connected()) {
-        ::close(b->fd);
-        b->fd = -1;
-      }
-    }
-    backends_.clear();
-    map_.reset();
-  };
-  // A router that cannot reach its topology must not accept clients: every
-  // backend connects (with retry) before the listen socket opens.
-  for (auto& b : backends_) {
-    Status connected = ConnectBackend(b.get());
-    if (!connected.ok()) {
-      Status failed(connected.code(),
-                    "backend " + b->addr.host + ":" +
-                        std::to_string(b->addr.port) + ": " +
-                        connected.message());
-      abort_backends();
-      return failed;
-    }
+    backends_.push_back(std::make_unique<Backend>(options_.backends[i],
+                                                  static_cast<uint32_t>(i)));
   }
 
-  if (::pipe(wake_fds_) != 0) {
-    const std::string error = std::strerror(errno);
-    abort_backends();
-    return Status::Internal("pipe: " + error);
-  }
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
-
-  // The client-facing side is the shared epoll reactor (DESIGN.md §3.14):
-  // it owns accept sharding, framing, and write batching, and posts decoded
-  // frames into the inbox the router thread drains.
+  // One reactor serves both sides (DESIGN.md §3.14): it owns accept
+  // sharding, framing, and write batching for clients, and carries the
+  // backend links as adopted connections. Decoded frames land in the inbox
+  // the router thread drains.
   net::ReactorOptions ropts;
   ropts.io_threads = options_.io_threads;
   ropts.port = options_.port;
@@ -183,14 +146,27 @@ Status ClusterRouter::Start() {
   reactor_ = std::make_unique<net::Reactor>(
       ropts, static_cast<net::Reactor::Handler*>(this));
   phase_.store(Phase::kRunning, std::memory_order_relaxed);
-  Status listening = reactor_->Start();
-  if (!listening.ok()) {
+  Status started = reactor_->Start();
+  // A router that cannot reach its topology must not serve clients: every
+  // backend connects (with retry) before the port is published and the
+  // router thread starts. A client that dials the listen socket meanwhile
+  // is accepted into the inbox, never served, and closed on failure.
+  for (size_t i = 0; started.ok() && i < backends_.size(); ++i) {
+    Backend* b = backends_[i].get();
+    Status connected = ConnectBackend(b);
+    if (!connected.ok()) {
+      started = Status(connected.code(), "backend " + b->addr.host + ":" +
+                                             std::to_string(b->addr.port) +
+                                             ": " + connected.message());
+    }
+  }
+  if (!started.ok()) {
+    reactor_->Stop(/*flush_deadline_ms=*/0);
     reactor_.reset();
-    ::close(wake_fds_[0]);
-    ::close(wake_fds_[1]);
-    wake_fds_[0] = wake_fds_[1] = -1;
-    abort_backends();
-    return listening;
+    DiscardInbox();
+    backends_.clear();
+    map_.reset();
+    return started;
   }
   port_ = reactor_->port();
   {
@@ -199,7 +175,7 @@ Status ClusterRouter::Start() {
   }
   started_ = true;
   RefreshSnapshot();
-  io_thread_ = std::thread([this] { IoLoop(); });
+  router_thread_ = std::thread([this] { RouterLoop(); });
   StartAdmin();
   LogInfo("cluster router listening",
           {{"addr", "127.0.0.1"},
@@ -211,29 +187,25 @@ Status ClusterRouter::Start() {
 
 void ClusterRouter::Stop() {
   // lifecycle_mu_ held throughout: concurrent Stop() calls serialize, and
-  // the I/O thread never takes this mutex, so the join cannot deadlock.
+  // the router thread never takes this mutex, so the join cannot deadlock.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (!started_) return;
   phase_.store(Phase::kStopping, std::memory_order_release);
-  WakeIoLoop();
-  io_thread_.join();
-  // Client write queues flush inside the reactor (same 3s deadline the old
-  // loop enforced), then every client socket closes. Callbacks fired during
-  // this window still post to the inbox; it is discarded below.
-  if (reactor_ != nullptr) {
-    reactor_->Stop(3000);
-    reactor_.reset();
-  }
+  WakeRouter();
+  router_thread_.join();
+  // Client and backend write queues flush inside the reactor (bounded by a
+  // deadline), then every socket closes. Callbacks fired during this window
+  // still post to the inbox; it is discarded below.
+  reactor_->Stop(kStopFlushDeadlineMs);
+  reactor_.reset();
+  for (auto& b : backends_) b->link.reset();
+  RefreshSnapshot();
   clients_.clear();
-  pending_events_.clear();
-  {
-    std::lock_guard<std::mutex> inbox_lock(inbox_mu_);
-    inbox_.clear();
-  }
+  DiscardInbox();
   if (admin_) admin_->Stop();
   {
-    // Commands that slipped in after the loop's last drain would block
-    // their caller forever; fail them and close the queue.
+    // Commands still queued would block their caller forever; fail them
+    // and close the queue.
     std::lock_guard<std::mutex> cmd_lock(command_mu_);
     commands_closed_ = true;
     for (Command* cmd : commands_) {
@@ -243,10 +215,6 @@ void ClusterRouter::Stop() {
     commands_.clear();
   }
   command_cv_.notify_all();
-
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  wake_fds_[0] = wake_fds_[1] = -1;
   started_ = false;
   port_ = 0;
   LogInfo("cluster router stopped");
@@ -271,7 +239,7 @@ Status ClusterRouter::AddBackend(const BackendAddress& addr) {
     }
     commands_.push_back(&cmd);
   }
-  WakeIoLoop();
+  WakeRouter();
   std::unique_lock<std::mutex> lock(command_mu_);
   command_cv_.wait(lock, [&cmd] { return cmd.done; });
   return cmd.result;
@@ -294,7 +262,7 @@ Status ClusterRouter::RemoveBackend(uint32_t slot) {
     }
     commands_.push_back(&cmd);
   }
-  WakeIoLoop();
+  WakeRouter();
   std::unique_lock<std::mutex> lock(command_mu_);
   command_cv_.wait(lock, [&cmd] { return cmd.done; });
   return cmd.result;
@@ -305,170 +273,135 @@ ClusterStatus ClusterRouter::Snapshot() const {
   return snapshot_;
 }
 
-void ClusterRouter::WakeIoLoop() {
-  const char byte = 0;
-  // Nonblocking; EAGAIN means the pipe already holds a wakeup.
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+// ---------------------------------------------------------------------------
+// Router thread
+
+void ClusterRouter::WakeRouter() {
+  {
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    wake_pending_ = true;
+  }
+  inbox_cv_.notify_one();
+}
+
+void ClusterRouter::WaitForWork() {
+  std::unique_lock<std::mutex> lock(inbox_mu_);
+  inbox_cv_.wait_for(lock, kIdleWait, [this] { return wake_pending_; });
+  wake_pending_ = false;
+}
+
+void ClusterRouter::DiscardInbox() {
+  pending_events_.clear();
+  std::lock_guard<std::mutex> lock(inbox_mu_);
+  client_inbox_.clear();
+  backend_inbox_.clear();
+}
+
+void ClusterRouter::RouterLoop() {
+  while (phase_.load(std::memory_order_acquire) == Phase::kRunning) {
+    ExecuteCommands();
+    WaitForWork();
+    ProcessBackendEvents();
+    // Backend ACKs may have half-drained the unacked window: lift the pause
+    // first, so held client frames resume in this same pass.
+    MaybeResumeClients();
+    ProcessClientEvents();
+    ReconnectBackends(NowMs());
+    PublishProgress();
+  }
+}
+
+void ClusterRouter::PublishProgress() {
+  RefreshSnapshot();
+  if (!progress_owed_) return;
+  progress_owed_ = false;
+  // One coalesced PROGRESS per pass for router-level followers: the
+  // watermark contract ("everything <= event_id is fully delivered") holds
+  // for any granularity, and the released MATCH frames were enqueued first.
+  Frame progress;
+  progress.type = FrameType::kProgress;
+  progress.event_id = released_count_ - 1;
+  for (auto& [id, conn] : clients_) {
+    if (!conn->follower) continue;
+    EnqueueClient(conn.get(), progress);
+    m_progress_frames_->Increment();
+  }
 }
 
 // ---------------------------------------------------------------------------
-// I/O loop
+// Reactor callbacks (I/O threads)
 
-void ClusterRouter::IoLoop() {
-  std::vector<pollfd> pfds;
-  std::vector<Backend*> polled_backends;
-  std::chrono::steady_clock::time_point stop_deadline{};
-  bool stop_seen = false;
-  for (;;) {
-    const Phase phase = phase_.load(std::memory_order_acquire);
-    if (phase == Phase::kStopping) {
-      {
-        // Fail topology commands still waiting: their quiesce can never
-        // complete once the loop is shutting down.
-        std::lock_guard<std::mutex> lock(command_mu_);
-        for (Command* cmd : commands_) {
-          cmd->result =
-              Status::FailedPrecondition("cluster router is stopping");
-          cmd->done = true;
-        }
-        commands_.clear();
-      }
-      command_cv_.notify_all();
-      if (!stop_seen) {
-        stop_seen = true;
-        stop_deadline = std::chrono::steady_clock::now() + kStopFlushDeadline;
-      }
-      // Client queues flush inside the reactor (Stop() drives that after
-      // the join); only the backend channel drains here.
-      bool flushed = true;
-      for (auto& b : backends_) {
-        if (b->connected() && !b->outbox.empty()) flushed = false;
-      }
-      if (flushed || std::chrono::steady_clock::now() >= stop_deadline) break;
-    } else {
-      ExecuteCommands();
-    }
+void ClusterRouter::OnAccept(const net::Reactor::ConnPtr& conn) {
+  // Backend links are adopted by the router thread, which already knows
+  // them.
+  if (IsBackendLink(conn)) return;
+  InboxEvent event;
+  event.kind = InboxEvent::Kind::kAccept;
+  event.conn = conn;
+  Post(std::move(event));
+}
 
-    pfds.clear();
-    polled_backends.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    for (auto& b : backends_) {
-      if (!b->connected()) continue;
-      short events = POLLIN;
-      if (!b->outbox.empty()) events |= POLLOUT;
-      pfds.push_back({b->fd, events, 0});
-      polled_backends.push_back(b.get());
-    }
+void ClusterRouter::OnFrame(const net::Reactor::ConnPtr& conn, Frame frame) {
+  InboxEvent event;
+  event.kind = InboxEvent::Kind::kFrame;
+  event.conn = conn;
+  event.frame = std::move(frame);
+  Post(std::move(event));
+}
 
-    ::poll(pfds.data(), pfds.size(), kPollIntervalMs);
+void ClusterRouter::OnConnectionClosed(const net::Reactor::ConnPtr& conn,
+                                       net::CloseReason reason) {
+  InboxEvent event;
+  event.kind = InboxEvent::Kind::kClosed;
+  event.conn = conn;
+  event.reason = reason;
+  Post(std::move(event));
+}
 
-    if (pfds[0].revents & POLLIN) {
-      char sink[256];
-      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
-      }
-    }
-    for (size_t i = 0; i < polled_backends.size(); ++i) {
-      Backend* b = polled_backends[i];
-      const short revents = pfds[1 + i].revents;
-      if (!b->connected()) continue;  // doomed earlier this pass
-      if (revents & (POLLOUT | POLLERR | POLLHUP)) {
-        if (!FlushBackend(b)) continue;
-        if ((revents & (POLLERR | POLLHUP)) && !(revents & POLLIN)) {
-          DoomBackend(b, "backend hung up");
-          continue;
-        }
-      }
-      if (revents & POLLIN) ReadBackend(b);
-    }
-
-    ProcessClientEvents();
-    if (phase == Phase::kRunning) {
-      ReconnectBackends(NowMs());
-      MaybeResumeClients();
-    }
-    RefreshSnapshot();
+void ClusterRouter::Post(InboxEvent event) {
+  {
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    // Backend traffic gets its own queue: client frames held at the
+    // backpressure pause must never stand in front of the backend ACKs
+    // that end it.
+    (IsBackendLink(event.conn) ? backend_inbox_ : client_inbox_)
+        .push_back(std::move(event));
+    wake_pending_ = true;
   }
-
-  // Exit: the backend channel closes here; client sockets belong to the
-  // reactor and close in Stop().
-  for (auto& b : backends_) {
-    if (b->connected()) {
-      ::close(b->fd);
-      b->fd = -1;
-    }
-  }
-  RefreshSnapshot();
+  inbox_cv_.notify_one();
 }
 
 // ---------------------------------------------------------------------------
 // Client gateway
 
-void ClusterRouter::OnAccept(const net::Reactor::ConnPtr& conn) {
-  ClientEvent event;
-  event.kind = ClientEvent::Kind::kAccept;
-  event.conn = conn;
-  PostClientEvent(std::move(event));
-}
-
-void ClusterRouter::OnFrame(const net::Reactor::ConnPtr& conn, Frame frame) {
-  ClientEvent event;
-  event.kind = ClientEvent::Kind::kFrame;
-  event.conn = conn;
-  event.frame = std::move(frame);
-  PostClientEvent(std::move(event));
-}
-
-void ClusterRouter::OnConnectionClosed(const net::Reactor::ConnPtr& conn,
-                                       net::CloseReason reason) {
-  ClientEvent event;
-  event.kind = ClientEvent::Kind::kClosed;
-  event.conn = conn;
-  event.reason = reason;
-  PostClientEvent(std::move(event));
-}
-
-void ClusterRouter::PostClientEvent(ClientEvent event) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_.push_back(std::move(event));
-  }
-  WakeIoLoop();
-}
-
 void ClusterRouter::ProcessClientEvents() {
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
-    while (!inbox_.empty()) {
-      pending_events_.push_back(std::move(inbox_.front()));
-      inbox_.pop_front();
+    while (!client_inbox_.empty()) {
+      pending_events_.push_back(std::move(client_inbox_.front()));
+      client_inbox_.pop_front();
     }
   }
-  const Phase phase = phase_.load(std::memory_order_acquire);
   while (!pending_events_.empty()) {
-    if (clients_paused_ && phase == Phase::kRunning &&
-        pending_events_.front().kind == ClientEvent::Kind::kFrame) {
+    if (clients_paused_ &&
+        pending_events_.front().kind == InboxEvent::Kind::kFrame) {
       // Backpressure: frames (and everything queued behind them) wait for
       // the unacked window to half-drain; the FIFO preserves order.
       return;
     }
-    ClientEvent event = std::move(pending_events_.front());
+    InboxEvent event = std::move(pending_events_.front());
     pending_events_.pop_front();
     switch (event.kind) {
-      case ClientEvent::Kind::kAccept:
-        if (phase != Phase::kRunning) {
-          reactor_->Doom(event.conn, net::CloseReason::kShutdown);
-          break;
-        }
+      case InboxEvent::Kind::kAccept:
         HandleClientAccepted(event.conn);
         break;
-      case ClientEvent::Kind::kFrame: {
-        if (phase != Phase::kRunning) break;  // shutdown drops queued input
+      case InboxEvent::Kind::kFrame: {
         ClientConn* conn = FindClient(event.conn->id());
         if (conn == nullptr) break;  // doomed or already closed
         DispatchClientFrame(conn, std::move(event.frame));
         break;
       }
-      case ClientEvent::Kind::kClosed:
+      case InboxEvent::Kind::kClosed:
         HandleClientClosed(event.conn, event.reason);
         break;
     }
@@ -698,7 +631,7 @@ void ClusterRouter::MaybeResumeClients() {
   clients_paused_ = false;
   ResumeClientReads();
   // Frames that queued up behind the pause resume from the inbox on the
-  // next ProcessClientEvents pass.
+  // next ProcessClientEvents call.
 }
 
 // ---------------------------------------------------------------------------
@@ -713,17 +646,17 @@ Status ClusterRouter::ConnectBackend(Backend* backend) {
   net::RetryOptions retry = options_.backend_retry;
   retry.jitter_seed += backend->slot + 1;  // decorrelate the slots' jitter
   // First connect of a session (startup or join) gets the full retry
-  // budget — the caller is blocked on it anyway. Reconnects run on the I/O
-  // thread, which must not stall behind a down backend's backoff sleeps:
-  // single attempt per pass, paced by retry_after_ms.
+  // budget — the caller is blocked on it anyway. Reconnects run on the
+  // router thread, which must not stall behind a down backend's backoff
+  // sleeps: single attempt per pass, paced by retry_after_ms.
   if (backend->reconnects > 0) retry.max_attempts = 1;
   StatusOr<int> fd =
       net::DialTcpWithRetry(backend->addr.host, backend->addr.port, retry);
   if (!fd.ok()) return fd.status();
-  SetNonBlocking(*fd);
-  backend->fd = *fd;
-  backend->decoder.Reset();
-  backend->outbox.clear();
+  StatusOr<net::Reactor::ConnPtr> link =
+      reactor_->AdoptConnected(*fd, &kBackendLinkTag);
+  if (!link.ok()) return link.status();
+  backend->link = std::move(*link);
   backend->next_seq = 1;
   backend->offset_known = false;
   backend->id_offset = 0;
@@ -793,16 +726,16 @@ Status ClusterRouter::ConnectBackend(Backend* backend) {
   return Status::OK();
 }
 
-void ClusterRouter::DoomBackend(Backend* backend, const char* reason) {
+void ClusterRouter::DoomBackend(Backend* backend, std::string_view reason) {
   if (!backend->connected()) return;
   LogWarning("backend connection lost; scheduling resync",
              {{"slot", backend->slot},
               {"port", backend->addr.port},
               {"reason", reason}});
-  ::close(backend->fd);
-  backend->fd = -1;
-  backend->outbox.clear();
-  backend->decoder.Reset();
+  // A no-op when the reactor already closed the link; frames it still
+  // delivers stop matching BackendOf once the link is dropped here.
+  reactor_->Doom(backend->link, net::CloseReason::kHandlerRequest);
+  backend->link.reset();
   backend->offset_known = false;
   ++backend->reconnects;
   m_reconnects_->Increment();
@@ -824,40 +757,37 @@ void ClusterRouter::ReconnectBackends(int64_t now_ms) {
   }
 }
 
-void ClusterRouter::ReadBackend(Backend* backend) {
-  if (!backend->connected()) return;
-  // Chaos seam: sever the backend channel at the read boundary.
-  APCM_FAILPOINT_INJECT("cluster.backend.recv", {
-    DoomBackend(backend, "injected recv failure (cluster.backend.recv)");
-    return;
-  });
-  char buf[16 * 1024];
-  size_t budget = kReadBudgetBytes;
-  while (budget > 0) {
-    const ssize_t n =
-        net::InstrumentedRecv(net::IoSide::kClient, backend->fd, buf,
-                              std::min(sizeof(buf), budget), 0);
-    if (n == 0) {
-      DoomBackend(backend, "backend closed connection");
-      break;
-    }
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        DoomBackend(backend, "recv from backend failed");
-      }
-      break;
-    }
-    budget -= static_cast<size_t>(n);
-    backend->decoder.Append(buf, static_cast<size_t>(n));
+ClusterRouter::Backend* ClusterRouter::BackendOf(
+    const net::Reactor::ConnPtr& conn) {
+  for (auto& b : backends_) {
+    if (b->link == conn) return b.get();
   }
-  while (backend->connected()) {
-    StatusOr<std::optional<Frame>> next = backend->decoder.Next();
-    if (!next.ok()) {
-      DoomBackend(backend, "protocol error from backend");
-      return;
+  return nullptr;
+}
+
+void ClusterRouter::ProcessBackendEvents() {
+  std::deque<InboxEvent> events;
+  {
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    events.swap(backend_inbox_);
+  }
+  for (InboxEvent& event : events) {
+    Backend* backend = BackendOf(event.conn);
+    if (backend == nullptr) continue;  // an earlier session's link
+    if (event.kind == InboxEvent::Kind::kClosed) {
+      // Peer close, write error, or outbox overflow (kSlowConsumer): all
+      // resync through the replay window.
+      DoomBackend(backend, net::CloseReasonName(event.reason));
+      continue;
     }
-    if (!next->has_value()) return;
-    HandleBackendFrame(backend, std::move(**next));
+    bool severed = false;
+    // Chaos seam: sever the backend channel at frame receipt.
+    APCM_FAILPOINT_INJECT("cluster.backend.recv", severed = true);
+    if (severed) {
+      DoomBackend(backend, "injected recv failure (cluster.backend.recv)");
+      continue;
+    }
+    HandleBackendFrame(backend, std::move(event.frame));
   }
 }
 
@@ -1056,14 +986,16 @@ void ClusterRouter::HandleBackendError(Backend* backend, const BackendOp& op,
 
 void ClusterRouter::EnqueueBackend(Backend* backend, const Frame& frame) {
   if (!backend->connected()) return;
-  const std::string wire = EncodeFrame(frame);
-  if (backend->outbox.size() + wire.size() > options_.max_write_queue_bytes) {
-    // Cheaper to resync than to buffer without bound: the replay window
-    // regenerates whatever this drop loses.
-    DoomBackend(backend, "backend write queue overflow");
+  // Chaos seam: sever the backend channel at the send boundary.
+  APCM_FAILPOINT_INJECT("cluster.backend.send", {
+    DoomBackend(backend, "injected send failure (cluster.backend.send)");
     return;
-  }
-  backend->outbox += wire;
+  });
+  // An outbox overflow dooms the link inside the reactor; the close
+  // (kSlowConsumer) arrives on the backend inbox and resyncs — cheaper than
+  // buffering without bound, and the replay window regenerates whatever
+  // the drop loses.
+  reactor_->Enqueue(backend->link, frame);
 }
 
 void ClusterRouter::SendPublish(Backend* backend, const Inflight& publish) {
@@ -1121,30 +1053,6 @@ void ClusterRouter::SendUnsubscribe(Backend* backend, uint64_t global_sub,
   backend->ops.push_back(std::move(op));
 }
 
-bool ClusterRouter::FlushBackend(Backend* backend) {
-  if (!backend->connected()) return false;
-  // Chaos seam: sever the backend channel at the write boundary.
-  APCM_FAILPOINT_INJECT("cluster.backend.send", {
-    DoomBackend(backend, "injected send failure (cluster.backend.send)");
-    return false;
-  });
-  while (!backend->outbox.empty()) {
-    const ssize_t n = net::InstrumentedSend(net::IoSide::kClient, backend->fd,
-                                            backend->outbox.data(),
-                                            backend->outbox.size(),
-                                            MSG_NOSIGNAL);
-    if (n > 0) {
-      backend->outbox.erase(0, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    DoomBackend(backend, "send to backend failed");
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Merge + frontier
 
@@ -1168,17 +1076,7 @@ void ClusterRouter::AdvanceFrontier() {
     ++released_count_;
   }
   TrimInflight();
-  // One coalesced PROGRESS per advance for router-level followers: the
-  // watermark contract ("everything <= event_id is fully delivered") holds
-  // for any granularity.
-  Frame progress;
-  progress.type = FrameType::kProgress;
-  progress.event_id = released_count_ - 1;
-  for (auto& [id, conn] : clients_) {
-    if (!conn->follower) continue;
-    EnqueueClient(conn.get(), progress);
-    m_progress_frames_->Increment();
-  }
+  progress_owed_ = true;  // PublishProgress sends it at the end of the pass
 }
 
 void ClusterRouter::ReleaseEvent(uint64_t global_event) {
@@ -1255,9 +1153,9 @@ void ClusterRouter::ExecuteCommands() {
       cmd = commands_.front();
       commands_.pop_front();
     }
-    // Quiesce: client reads stop while a command runs (the old loop simply
-    // did not poll them); frames the reactor already decoded wait in the
-    // inbox until the cutover completes.
+    // Quiesce: client reads stop while a command runs, and frames the
+    // reactor already decoded wait in the client inbox until the cutover
+    // completes (PumpBackendsUntil only drains the backend inbox).
     PauseClientReads();
     Status result = cmd->kind == Command::Kind::kAddBackend
                         ? ExecuteAddBackend(cmd->addr)
@@ -1284,8 +1182,7 @@ Status ClusterRouter::ExecuteAddBackend(const BackendAddress& addr) {
       PumpBackendsUntil([this] { return Quiescent(); }, deadline));
 
   const uint32_t slot = static_cast<uint32_t>(backends_.size());
-  backends_.push_back(
-      std::make_unique<Backend>(addr, slot, options_.max_frame_bytes));
+  backends_.push_back(std::make_unique<Backend>(addr, slot));
   Backend* joined = backends_.back().get();
   // Vacuously notified of everything so far: the slot never sees events
   // from before it joined, and must not hold the frontier back for them.
@@ -1338,15 +1235,12 @@ Status ClusterRouter::ExecuteRemoveBackend(uint32_t slot) {
   Status moved = MoveSubscriptions(moves, deadline);
 
   if (victim->connected()) {
-    FlushBackend(victim);  // best-effort: the UNSUBSCRIBEs were pumped
-    if (victim->connected()) {
-      ::close(victim->fd);
-      victim->fd = -1;
-    }
+    // The UNSUBSCRIBEs were pumped to completion; the reactor still gives
+    // anything queued one best-effort flush before it closes the link.
+    reactor_->Doom(victim->link, net::CloseReason::kHandlerRequest);
+    victim->link.reset();
   }
   victim->ops.clear();
-  victim->outbox.clear();
-  victim->decoder.Reset();
   ++repartitions_done_;
   m_repartitions_->Increment();
   LogInfo("backend removed", {{"slot", slot},
@@ -1403,8 +1297,6 @@ Status ClusterRouter::MoveSubscriptions(
 
 Status ClusterRouter::PumpBackendsUntil(const std::function<bool()>& done,
                                         int64_t deadline_ms) {
-  std::vector<pollfd> pfds;
-  std::vector<Backend*> polled;
   while (!done()) {
     if (phase_.load(std::memory_order_acquire) != Phase::kRunning) {
       return Status::FailedPrecondition("cluster router is stopping");
@@ -1415,35 +1307,9 @@ Status ClusterRouter::PumpBackendsUntil(const std::function<bool()>& done,
           "topology change timed out waiting for the stream to drain");
     }
     ReconnectBackends(now);
-    pfds.clear();
-    polled.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    for (auto& b : backends_) {
-      if (!b->connected()) continue;
-      short events = POLLIN;
-      if (!b->outbox.empty()) events |= POLLOUT;
-      pfds.push_back({b->fd, events, 0});
-      polled.push_back(b.get());
-    }
-    ::poll(pfds.data(), pfds.size(), kPollIntervalMs);
-    if (pfds[0].revents & POLLIN) {
-      char sink[256];
-      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
-      }
-    }
-    for (size_t i = 0; i < polled.size(); ++i) {
-      Backend* b = polled[i];
-      const short revents = pfds[1 + i].revents;
-      if (!b->connected()) continue;
-      if (revents & (POLLOUT | POLLERR | POLLHUP)) {
-        if (!FlushBackend(b)) continue;
-        if ((revents & (POLLERR | POLLHUP)) && !(revents & POLLIN)) {
-          DoomBackend(b, "backend hung up");
-          continue;
-        }
-      }
-      if (revents & POLLIN) ReadBackend(b);
-    }
+    WaitForWork();
+    ProcessBackendEvents();
+    PublishProgress();
   }
   return Status::OK();
 }
@@ -1451,7 +1317,7 @@ Status ClusterRouter::PumpBackendsUntil(const std::function<bool()>& done,
 bool ClusterRouter::Quiescent() const {
   for (const auto& b : backends_) {
     if (!b->in_topology) continue;
-    if (!b->connected() || !b->ops.empty() || !b->outbox.empty()) return false;
+    if (!b->connected() || !b->ops.empty()) return false;
   }
   return unacked_publishes_ == 0 && merge_buffer_.empty() &&
          released_count_ == next_global_event_;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -37,9 +38,9 @@ struct ClusterOptions {
   std::vector<BackendAddress> backends;
   /// TCP port for client connections on 127.0.0.1 (0 = kernel-assigned).
   int port = 0;
-  /// I/O threads for the client-facing reactor (1..64). Client sockets are
-  /// served by the same epoll reactor that backs `net::EventServer`; the
-  /// router's own thread keeps the backend channel and all stream state.
+  /// I/O threads of the router's reactor (1..64): the same epoll reactor
+  /// that backs `net::EventServer`, serving client sockets and backend
+  /// links alike; the router's own thread keeps all stream state.
   int io_threads = 1;
   /// Shard the client listen socket across I/O threads with SO_REUSEPORT
   /// (falls back to a single accept thread where unsupported).
@@ -52,7 +53,8 @@ struct ClusterOptions {
   /// backends); overflow dooms the connection (slow-consumer policy for
   /// clients, resync for backends).
   size_t max_write_queue_bytes = 4u << 20;
-  /// Per-frame payload cap enforced on incoming frames.
+  /// Per-frame payload cap enforced on incoming frames (clients and
+  /// backends).
   size_t max_frame_bytes = net::kMaxPayloadBytes;
   /// Dial policy for backend connects and reconnects.
   net::RetryOptions backend_retry;
@@ -138,15 +140,20 @@ struct ClusterStatus {
 /// passes them). Duplicate MATCHes from reprocessing dedupe in the merge
 /// buffer, so delivered match sets are unchanged.
 ///
-/// Threading splits along the trust boundary. Client sockets live on the
-/// shared epoll reactor (`net::Reactor`, DESIGN.md §3.14) — N I/O threads
-/// own accept, framing, and write batching, and feed decoded frames into a
-/// mutexed inbox. The router's own thread drains that inbox, runs a poll
-/// loop over the backend connections and a self-wake pipe, and owns every
-/// piece of stream state (inflight window, merge buffer, topology).
-/// Outgoing client frames go through the reactor's thread-safe Enqueue.
-/// AddBackend/RemoveBackend may be called from any thread; they post a
-/// command the router thread executes and block until it completes.
+/// Threading: every socket, client and backend alike, lives on the shared
+/// epoll reactor (`net::Reactor`, DESIGN.md §3.14). Its N I/O threads own
+/// accept, framing, and write batching; backend links join it as adopted
+/// outbound connections. Decoded frames and closes are posted to the
+/// router thread through two inbox queues: one for clients, which is held
+/// at the backpressure pause, and one for backends, which never is (the
+/// unacked window can only drain through backend ACKs). The router thread
+/// waits on that inbox and owns every piece of stream state (inflight
+/// window, merge buffer, topology). Outgoing frames go through the
+/// reactor's thread-safe Enqueue, which also bounds every outbox: a client
+/// that overflows is dropped as a slow consumer, a backend that overflows
+/// is resynced. AddBackend/RemoveBackend may be called from any thread;
+/// they post a command the router thread executes and block until it
+/// completes.
 class ClusterRouter : private net::Reactor::Handler {
  public:
   explicit ClusterRouter(ClusterOptions options);
@@ -155,11 +162,14 @@ class ClusterRouter : private net::Reactor::Handler {
   ClusterRouter(const ClusterRouter&) = delete;
   ClusterRouter& operator=(const ClusterRouter&) = delete;
 
-  /// Connects every backend (with retry), then binds 127.0.0.1:port and
-  /// launches the I/O thread (and the admin server when configured).
+  /// Starts the reactor, connects every backend (with retry), and only then
+  /// publishes the client port and launches the router thread (and the
+  /// admin server when configured). Fails without serving any client when a
+  /// backend is unreachable.
   Status Start();
 
-  /// Flushes client write queues best-effort and shuts down (idempotent).
+  /// Flushes client and backend write queues best-effort and shuts down
+  /// (idempotent).
   void Stop();
 
   /// The bound client port once Start succeeded, else 0.
@@ -210,9 +220,9 @@ class ClusterRouter : private net::Reactor::Handler {
     BackendAddress addr;
     uint32_t slot = 0;
     bool in_topology = true;
-    int fd = -1;
-    net::FrameDecoder decoder;
-    std::string outbox;
+    /// The reactor connection of the current session (null while
+    /// disconnected). Frames from an older session's link are dropped.
+    net::Reactor::ConnPtr link;
     uint64_t next_seq = 1;
     std::deque<BackendOp> ops;  ///< FIFO of outstanding requests
     /// True until the first publish ACK after (re)connect fixes id_offset;
@@ -227,9 +237,9 @@ class ClusterRouter : private net::Reactor::Handler {
     uint64_t reconnects = 0;
     int64_t retry_after_ms = 0;  ///< steady-clock ms; 0 = not waiting
 
-    Backend(BackendAddress address, uint32_t s, size_t max_frame_bytes)
-        : addr(std::move(address)), slot(s), decoder(max_frame_bytes) {}
-    bool connected() const { return fd >= 0; }
+    Backend(BackendAddress address, uint32_t s)
+        : addr(std::move(address)), slot(s) {}
+    bool connected() const { return link != nullptr; }
   };
 
   /// Router-side view of one client connection. The socket, decoder, and
@@ -247,8 +257,8 @@ class ClusterRouter : private net::Reactor::Handler {
 
   /// One reactor callback, replayed on the router thread in arrival order
   /// (per-connection order is exact: the reactor serializes a connection's
-  /// callbacks on its owner thread, and the inbox is a single FIFO).
-  struct ClientEvent {
+  /// callbacks on its owner thread, and each inbox queue is a FIFO).
+  struct InboxEvent {
     enum class Kind : uint8_t { kAccept, kFrame, kClosed };
     Kind kind = Kind::kAccept;
     net::Reactor::ConnPtr conn;
@@ -300,21 +310,31 @@ class ClusterRouter : private net::Reactor::Handler {
     bool done = false;
   };
 
-  // I/O loop ----------------------------------------------------------------
-  void IoLoop();
-  void WakeIoLoop();
+  // Router thread -----------------------------------------------------------
+  void RouterLoop();
+  void WakeRouter();
+  /// Blocks until an inbox post or wakeup arrives, or the idle interval
+  /// (which paces reconnect retries) elapses.
+  void WaitForWork();
+  /// Drops every queued inbox event (Start failure and Stop).
+  void DiscardInbox();
+  /// Refreshes the snapshot, then sends the coalesced PROGRESS owed to
+  /// router-level followers — in that order, so a follower that saw a
+  /// watermark reads a Snapshot at least that fresh.
+  void PublishProgress();
 
-  // Client gateway ----------------------------------------------------------
   // Reactor::Handler overrides run on reactor I/O threads; they only post
-  // to the inbox and wake the router thread.
+  // to an inbox queue and wake the router thread.
   void OnAccept(const net::Reactor::ConnPtr& conn) override;
   void OnFrame(const net::Reactor::ConnPtr& conn, net::Frame frame) override;
   void OnConnectionClosed(const net::Reactor::ConnPtr& conn,
                           net::CloseReason reason) override;
-  void PostClientEvent(ClientEvent event);
-  /// Drains the inbox and replays client events on the router thread.
-  /// Frames stop at the backpressure pause (FIFO order holds; they resume
-  /// from the same queue).
+  void Post(InboxEvent event);
+
+  // Client gateway ----------------------------------------------------------
+  /// Drains the client inbox and replays client events on the router
+  /// thread. Frames stop at the backpressure pause (FIFO order holds; they
+  /// resume from the same queue).
   void ProcessClientEvents();
   void HandleClientAccepted(const net::Reactor::ConnPtr& rconn);
   void HandleClientClosed(const net::Reactor::ConnPtr& rconn,
@@ -343,8 +363,12 @@ class ClusterRouter : private net::Reactor::Handler {
   /// notified watermark. Used for the initial connect, reconnects, and
   /// joins alike. On dial failure schedules a later retry and returns it.
   Status ConnectBackend(Backend* backend);
-  void DoomBackend(Backend* backend, const char* reason);
-  void ReadBackend(Backend* backend);
+  /// Drops the backend's current link and schedules a resync.
+  void DoomBackend(Backend* backend, std::string_view reason);
+  /// Drains the backend inbox: frames and closes of current links.
+  void ProcessBackendEvents();
+  /// The backend whose current link is `conn`, or null (a stale link).
+  Backend* BackendOf(const net::Reactor::ConnPtr& conn);
   void HandleBackendFrame(Backend* backend, net::Frame frame);
   void HandleBackendAck(Backend* backend, const BackendOp& op,
                         const net::Frame& frame);
@@ -356,7 +380,6 @@ class ClusterRouter : private net::Reactor::Handler {
                      const std::string& expression, const BackendOp& origin);
   void SendUnsubscribe(Backend* backend, uint64_t global_sub,
                        const BackendOp& origin);
-  bool FlushBackend(Backend* backend);
   /// Reconnects any doomed/disconnected topology member whose retry delay
   /// has elapsed.
   void ReconnectBackends(int64_t now_ms);
@@ -373,8 +396,8 @@ class ClusterRouter : private net::Reactor::Handler {
   void ExecuteCommands();
   Status ExecuteAddBackend(const BackendAddress& addr);
   Status ExecuteRemoveBackend(uint32_t slot);
-  /// Drives backend I/O only (clients stay paused) until `done` returns
-  /// true or the command deadline expires.
+  /// Processes backend events only (clients stay paused) until `done`
+  /// returns true or the command deadline expires.
   Status PumpBackendsUntil(const std::function<bool()>& done,
                            int64_t deadline_ms);
   bool Quiescent() const;
@@ -397,16 +420,19 @@ class ClusterRouter : private net::Reactor::Handler {
   std::mutex lifecycle_mu_;
   bool started_ = false;
   std::atomic<Phase> phase_{Phase::kRunning};
-  int wake_fds_[2] = {-1, -1};
   int port_ = 0;
-  std::thread io_thread_;
+  std::thread router_thread_;
 
-  // Client gateway (reactor threads produce, router thread consumes).
+  // Reactor (I/O threads produce into the inbox, the router thread
+  // consumes).
   net::ReactorMetrics reactor_metrics_;
   std::unique_ptr<net::Reactor> reactor_;
   std::mutex inbox_mu_;
-  std::deque<ClientEvent> inbox_;          // guarded by inbox_mu_
-  std::deque<ClientEvent> pending_events_;  // router thread only
+  std::condition_variable inbox_cv_;
+  bool wake_pending_ = false;                // guarded by inbox_mu_
+  std::deque<InboxEvent> client_inbox_;      // guarded by inbox_mu_
+  std::deque<InboxEvent> backend_inbox_;     // guarded by inbox_mu_
+  std::deque<InboxEvent> pending_events_;    // router thread only
 
   // Topology + stream state (router thread only, except where noted).
   std::unique_ptr<PartitionMap> map_;
@@ -422,15 +448,16 @@ class ClusterRouter : private net::Reactor::Handler {
   /// duplicates; deduped at release).
   std::map<uint64_t, std::vector<uint64_t>> merge_buffer_;
   uint64_t released_count_ = 0;  ///< frontier: events released in order
+  bool progress_owed_ = false;   ///< frontier moved since the last PROGRESS
   std::deque<ChangeRecord> change_log_;
   uint64_t next_change_seq_ = 1;
   uint64_t repartitions_done_ = 0;
 
-  // Commands (any thread -> I/O thread).
+  // Commands (any thread -> router thread).
   std::mutex command_mu_;
   std::condition_variable command_cv_;
   std::deque<Command*> commands_;
-  /// Set by Stop() after the I/O thread exits: a command enqueued past that
+  /// Set by Stop() after the router thread exits: a command enqueued past that
   /// point would never be drained, so enqueue fails fast instead.
   bool commands_closed_ = false;  // guarded by command_mu_
 
@@ -438,7 +465,7 @@ class ClusterRouter : private net::Reactor::Handler {
   mutable std::mutex snapshot_mu_;
   ClusterStatus snapshot_;
 
-  // Metrics (registry outlives the I/O thread).
+  // Metrics (registry outlives the router thread).
   MetricsRegistry metrics_;
   Gauge* m_backends_ = nullptr;
   Gauge* m_clients_ = nullptr;

@@ -70,17 +70,28 @@ void TraceRing::Record(Kind kind, uint64_t a, uint64_t b, uint64_t c) {
   if (slots_.empty()) return;
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<size_t>(seq) & mask_];
-  // Seqlock write: mark in-progress (odd), fill the payload, then publish
-  // the committed stamp with release order so a reader that observes it also
-  // observes the payload. If two writers a full ring apart race the same
-  // slot the loser's payload wins and the reader protocol discards the
-  // inconsistent window — the ring is best-effort by design.
-  slot.stamp.store(2 * seq + 1, std::memory_order_relaxed);
-  slot.t_ns.store(timer_.ElapsedNanos(), std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
-  slot.c.store(c, std::memory_order_relaxed);
-  slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
+  // Seqlock write. Writers a full ring apart can race for one slot, and two
+  // interleaved payloads under one committed stamp would be a torn span, so
+  // a writer first claims the slot: it moves the stamp from an older
+  // committed (even) value to its own in-progress (odd) value. A writer
+  // that finds the slot in progress or already holding a newer span drops
+  // its span — the ring is best-effort by design.
+  const uint64_t writing = 2 * seq + 1;
+  uint64_t stamp = slot.stamp.load(std::memory_order_relaxed);
+  do {
+    if ((stamp & 1) != 0 || stamp > writing) return;
+  } while (!slot.stamp.compare_exchange_weak(stamp, writing,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed));
+  // Release payload stores: a reader that loads any of them also sees the
+  // claim above, so its stamp re-check catches the overlap.
+  slot.t_ns.store(timer_.ElapsedNanos(), std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
+  slot.c.store(c, std::memory_order_release);
+  slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_release);
+  // Publish with release order so a reader that observes the committed
+  // stamp also observes the payload.
   slot.stamp.store(2 * (seq + 1), std::memory_order_release);
 }
 

@@ -130,8 +130,8 @@ ssize_t InstrumentedWritev(IoSide side, int fd, const struct iovec* iov,
     return -1;
   }
   // Both the gathered-write point and the per-side short-send point clamp
-  // here: `net.server.send.short` must tear server writes whichever I/O
-  // front-end issues them (the legacy loop sends, the reactor writevs).
+  // here: `net.server.send.short` tears server writes, and the reactor's
+  // gathered write is the server's only write path.
   bool clamp = false;
   if (APCM_UNLIKELY(writev_short->armed()) && writev_short->Fire(&arg)) {
     clamp = true;

@@ -26,8 +26,8 @@ namespace {
 constexpr size_t kReadBudgetBytes = 256 * 1024;
 /// Gather limit per writev (well under IOV_MAX everywhere).
 constexpr int kMaxIovecs = 64;
-/// Idle epoll_wait timeout; bounds service-tick latency (parked-publish
-/// retry cadence) exactly like the legacy poll loop's interval.
+/// Idle epoll_wait timeout; bounds service-tick latency (the parked-publish
+/// retry cadence).
 constexpr int kIdleTimeoutMs = 20;
 /// Re-probe interval for connections whose flush met EAGAIN (see
 /// IoThread::stalled). Longer than kIdleTimeoutMs, so an idle loop pass
@@ -270,12 +270,12 @@ void Reactor::Stop(int flush_deadline_ms) {
     }
   }
   for (auto& tp : threads_) {
-    // Handoffs posted after the loops exited: close orphaned accepted fds
-    // and settle the accounting of any connection that raced an enqueue
-    // against its teardown.
+    // Handoffs posted after the loops exited: close connections that were
+    // never registered and settle the accounting of any connection that
+    // raced an enqueue against its teardown.
     std::lock_guard<std::mutex> lock(tp->mu);
-    for (int fd : tp->adopted_fds) ::close(fd);
-    tp->adopted_fds.clear();
+    for (const auto& conn : tp->adopted) DropUnregistered(*conn);
+    tp->adopted.clear();
     for (const auto& conn : tp->pending_run) ReclaimOutbox(*conn);
     tp->pending_run.clear();
   }
@@ -314,6 +314,28 @@ bool Reactor::AllWritesFlushed() const {
 // ---------------------------------------------------------------------------
 // Producer-side API (any thread)
 // ---------------------------------------------------------------------------
+
+StatusOr<Reactor::ConnPtr> Reactor::AdoptConnected(int fd, void* user_data) {
+  // Held through the handoff: a concurrent Stop either rejects this link
+  // or finds it in the handoff list and closes it.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  if (!started_ || stopped_ ||
+      phase_.load(std::memory_order_acquire) != Phase::kRunning) {
+    ::close(fd);
+    return Status::FailedPrecondition("reactor is not running");
+  }
+  const size_t target = next_adopt_.fetch_add(1, std::memory_order_relaxed) %
+                        threads_.size();
+  ConnPtr conn = NewConnection(fd, target);
+  conn->set_user_data(user_data);
+  IoThread& t = *threads_[target];
+  {
+    std::lock_guard<std::mutex> handoff(t.mu);
+    t.adopted.push_back(conn);
+  }
+  Wake(t);
+  return conn;
+}
 
 bool Reactor::Enqueue(const ConnPtr& conn, const Frame& frame, bool traced,
                       uint64_t event_id) {
@@ -464,21 +486,23 @@ void Reactor::Loop(IoThread& t) {
 
     if (t.accept_pending && phase == Phase::kRunning) AcceptPass(t);
 
-    // Cross-thread handoffs: adopted fds (fallback accept) and run requests
-    // (flush / doom / resume) from producer threads.
+    // Cross-thread handoffs: connections to register (fallback accept,
+    // AdoptConnected) and run requests (flush / doom / resume) from
+    // producer threads. Registration goes first: a run request can only
+    // name a connection whose handoff was posted before it.
     {
       std::vector<ConnPtr> runs;
-      std::vector<int> adopted;
+      std::vector<ConnPtr> adopted;
       {
         std::lock_guard<std::mutex> lock(t.mu);
         runs.swap(t.pending_run);
-        adopted.swap(t.adopted_fds);
+        adopted.swap(t.adopted);
       }
-      for (int fd : adopted) {
+      for (const auto& conn : adopted) {
         if (phase == Phase::kRunning) {
-          Adopt(t, fd);
+          Register(t, conn);
         } else {
-          ::close(fd);
+          DropUnregistered(*conn);
         }
       }
       for (const auto& conn : runs) PushRunQueue(t, conn);
@@ -574,7 +598,7 @@ void Reactor::AcceptPass(IoThread& t) {
       return;
     }
     if (reuseport_active_ || options_.io_threads == 1) {
-      Adopt(t, fd);
+      Register(t, NewConnection(fd, t.index));
       continue;
     }
     // Fallback accept sharding: thread 0 owns the only listen socket and
@@ -582,42 +606,57 @@ void Reactor::AcceptPass(IoThread& t) {
     size_t target = next_adopt_.fetch_add(1, std::memory_order_relaxed) %
                     static_cast<size_t>(options_.io_threads);
     if (target == t.index) {
-      Adopt(t, fd);
+      Register(t, NewConnection(fd, t.index));
     } else {
       IoThread& peer = *threads_[target];
       {
         std::lock_guard<std::mutex> lock(peer.mu);
-        peer.adopted_fds.push_back(fd);
+        peer.adopted.push_back(NewConnection(fd, target));
       }
       Wake(peer);
     }
   }
 }
 
-void Reactor::Adopt(IoThread& t, int fd) {
+Reactor::ConnPtr Reactor::NewConnection(int fd, size_t owner) {
+  ConnPtr conn(new Connection(options_.max_frame_bytes));
+  conn->id_ = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
+  conn->fd = fd;
+  conn->owner = owner;
+  return conn;
+}
+
+void Reactor::Register(IoThread& t, const ConnPtr& conn) {
+  const int fd = conn->fd;
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  ConnPtr conn(new Connection(options_.max_frame_bytes));
-  conn->id_ = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  conn->fd = fd;
-  conn->owner = t.index;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
   ev.data.ptr = conn.get();
-  if (::epoll_ctl(t.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    ::close(fd);
-    return;
-  }
+  const bool registered = ::epoll_ctl(t.epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
   t.conns.emplace(fd, conn);
   connections_.fetch_add(1, std::memory_order_relaxed);
   handler_->OnAccept(conn);
+  if (!registered) {
+    // The handler saw the connection, so it also sees the close; an
+    // adopted link's owner learns of the failure this way.
+    CloseNow(t, conn, CloseReason::kWriteError);
+    return;
+  }
   // Bytes may have landed between accept and epoll registration; ET would
   // have reported that edge at ADD time, but probing once is cheaper to
   // reason about than relying on it.
   conn->read_ready = true;
   PushRunQueue(t, conn);
+}
+
+void Reactor::DropUnregistered(Connection& conn) {
+  ::close(conn.fd);
+  conn.fd = -1;
+  conn.doomed_.store(true, std::memory_order_release);
+  ReclaimOutbox(conn);
 }
 
 void Reactor::ReclaimOutbox(Connection& conn) {

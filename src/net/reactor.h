@@ -8,14 +8,15 @@
 /// threads, and surfaces decoded frames to a protocol handler. It knows
 /// nothing about the engine or the router: `net::EventServer` composes it
 /// with the engine pump, and `cluster::ClusterRouter` reuses it for its
-/// client-facing side, so both tiers share one connection-scale I/O path.
+/// client connections and its backend links, so both tiers share one
+/// connection-scale I/O path.
 ///
 /// Architecture:
 ///   * N I/O threads, shared-nothing: each owns one epoll instance, one
-///     eventfd wakeup, and the connections it accepted. A connection is
-///     serviced only by its owner thread; cross-thread requests (enqueue,
-///     pause, resume, doom) are lock-free or briefly-locked handoffs that
-///     wake the owner.
+///     eventfd wakeup, and the connections it accepted or adopted. A
+///     connection is serviced only by its owner thread; cross-thread
+///     requests (enqueue, pause, resume, doom) are lock-free or
+///     briefly-locked handoffs that wake the owner.
 ///   * Accept sharding: with `reuseport` (default) every thread binds its
 ///     own SO_REUSEPORT listening socket and the kernel spreads incoming
 ///     connects across threads. Where SO_REUSEPORT is unavailable (or
@@ -131,7 +132,7 @@ class Reactor {
   class Handler {
    public:
     virtual ~Handler() = default;
-    /// A connection was accepted and registered.
+    /// A connection was accepted (or adopted) and registered.
     virtual void OnAccept(const ConnPtr& conn) = 0;
     /// One complete frame decoded from the connection.
     virtual void OnFrame(const ConnPtr& conn, Frame frame) = 0;
@@ -149,9 +150,10 @@ class Reactor {
     virtual void OnTracedFrameAbandoned(uint64_t /*event_id*/) {}
   };
 
-  /// One accepted connection. Opaque to callers except for `user_data`,
-  /// which the protocol layer may point at its per-connection session state
-  /// (set it in OnAccept, free it in OnConnectionClosed).
+  /// One accepted or adopted connection. Opaque to callers except for
+  /// `user_data`, which the protocol layer may point at its per-connection
+  /// session state (set it in OnAccept — or pass it to AdoptConnected — and
+  /// free it in OnConnectionClosed).
   class Connection {
    public:
     uint64_t id() const { return id_; }
@@ -255,6 +257,15 @@ class Reactor {
   /// any thread.
   void Doom(const ConnPtr& conn, CloseReason reason);
 
+  /// Adopts an already-connected socket (an outbound dial) as a reactor
+  /// connection on an I/O thread chosen round-robin. It registers through
+  /// the same path as an accepted socket, so OnAccept fires for it too;
+  /// `user_data` is set before any callback can see the connection, which
+  /// lets the handler tell adopted links from accepted peers. Takes
+  /// ownership of `fd` (closed on failure). FailedPrecondition unless the
+  /// reactor is running. Safe from any thread.
+  StatusOr<ConnPtr> AdoptConnected(int fd, void* user_data);
+
   /// Wakes every I/O thread (e.g. after an engine drain freed queue space,
   /// so parked publishes retry promptly).
   void WakeAll();
@@ -294,16 +305,24 @@ class Reactor {
 
     // Cross-thread handoff (guarded by mu).
     std::mutex mu;
-    std::vector<ConnPtr> pending_run;     ///< flush / doom / resume handoff
-    std::vector<int> adopted_fds;         ///< fallback accept handoff
+    std::vector<ConnPtr> pending_run;  ///< flush / doom / resume handoff
+    /// Connections to register on this thread: fallback-accepted sockets
+    /// and AdoptConnected links.
+    std::vector<ConnPtr> adopted;
 
     bool drain_acked = false;  ///< guarded by the reactor's lifecycle_mu_
   };
 
   void Loop(IoThread& t);
   void AcceptPass(IoThread& t);
-  /// Registers `fd` as a new connection owned by `t`.
-  void Adopt(IoThread& t, int fd);
+  /// A new connection object for `fd`, owned by I/O thread `owner`.
+  ConnPtr NewConnection(int fd, size_t owner);
+  /// Registers `conn` with its owner thread `t` (owner thread only) and
+  /// fires OnAccept.
+  void Register(IoThread& t, const ConnPtr& conn);
+  /// Closes a handed-off connection that never got registered (the
+  /// reactor stopped first) and settles its outbox accounting.
+  void DropUnregistered(Connection& conn);
   /// Services one run-queue entry: teardown, read+dispatch, flush.
   void RunConnection(IoThread& t, const ConnPtr& conn, Phase phase);
   void ReadConnection(IoThread& t, const ConnPtr& conn);
@@ -345,7 +364,7 @@ class Reactor {
   // Connection ids start at 1: id 0 is a reserved "no connection" sentinel
   // for handler layers (the cluster router's publish origin uses it).
   std::atomic<uint64_t> next_conn_id_{1};
-  std::atomic<size_t> next_adopt_{0};  ///< fallback round-robin cursor
+  std::atomic<size_t> next_adopt_{0};  ///< handoff round-robin cursor
   std::atomic<int64_t> connections_{0};
   /// Unflushed outbox bytes across every connection (AllWritesFlushed and
   /// the Stop deadline loop read this without touching owner-only state).

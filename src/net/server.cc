@@ -1,50 +1,27 @@
 #include "src/net/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "src/base/failpoint.h"
 #include "src/base/logging.h"
 #include "src/base/macros.h"
-#include "src/net/net_io.h"
 
 namespace apcm::net {
 
 namespace {
 
-/// Idle poll interval. Most wakeups come through the self-pipe (writes to
-/// flush, a finished engine drain); the timeout only bounds how stale a
-/// parked publish's retry can get if a wakeup is lost.
-constexpr int kPollIntervalMs = 20;
-/// Per-connection read budget per loop pass, so one firehose connection
-/// cannot starve the others.
-constexpr size_t kReadBudgetBytes = 256 * 1024;
 /// How long Stop() keeps flushing write queues before giving up on
 /// unresponsive peers.
-constexpr auto kStopFlushDeadline = std::chrono::seconds(3);
-
-void SetNonBlocking(int fd) {
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-}
+constexpr int kStopFlushDeadlineMs = 3000;
 
 }  // namespace
 
 Status ValidateEventServerOptions(const EventServerOptions& options) {
-  if (options.io_threads < 0 || options.io_threads > 64) {
-    return Status::InvalidArgument(
-        "io_threads must be in [0, 64] (0 = legacy poll loop), got " +
-        std::to_string(options.io_threads));
+  if (options.io_threads < 1 || options.io_threads > 64) {
+    return Status::InvalidArgument("io_threads must be in [1, 64], got " +
+                                   std::to_string(options.io_threads));
   }
   if (options.max_frame_bytes == 0 ||
       options.max_frame_bytes > kMaxPayloadBytes) {
@@ -87,8 +64,7 @@ EventServer::EventServer(EventServerOptions options)
       "apcm_net_slow_consumer_disconnects_total",
       "Connections dropped because their write queue overflowed.");
   reactor_metrics_.Register(registry);
-  // The reactor reports socket traffic into the server's established byte
-  // series, so dashboards don't fork on the io_threads setting.
+  // The reactor reports socket traffic into the server's byte series.
   reactor_metrics_.bytes_in = bytes_in_;
   reactor_metrics_.bytes_out = bytes_out_;
 }
@@ -104,150 +80,55 @@ Status EventServer::Start() {
   for (const std::string& name : options_.attributes) {
     catalog_.GetOrAddAttribute(name);
   }
-  if (options_.io_threads > 0) {
-    // Reactor mode: the epoll front-end owns sockets and framing; this
-    // class is its protocol Handler and keeps the engine pump.
-    ReactorOptions ropts;
-    ropts.io_threads = options_.io_threads;
-    ropts.port = options_.port;
-    ropts.reuseport = options_.reuseport_accept;
-    ropts.max_write_queue_bytes = options_.max_write_queue_bytes;
-    ropts.max_frame_bytes = options_.max_frame_bytes;
-    ropts.metrics = &reactor_metrics_;
-    reactor_ = std::make_unique<Reactor>(
-        ropts, static_cast<Reactor::Handler*>(this));
-    Status started = reactor_->Start();
-    if (!started.ok()) {
-      reactor_.reset();
-      return started;
-    }
-    port_ = reactor_->port();
-    pump_stop_ = false;
-    started_ = true;
-    pump_thread_ = std::thread([this] { PumpLoop(); });
-    LogInfo("event server listening (reactor)",
-            {{"addr", "127.0.0.1"},
-             {"port", port_},
-             {"io_threads", options_.io_threads},
-             {"reuseport", reactor_->reuseport_active()}});
-    return Status::OK();
+  ReactorOptions ropts;
+  ropts.io_threads = options_.io_threads;
+  ropts.port = options_.port;
+  ropts.reuseport = options_.reuseport_accept;
+  ropts.max_write_queue_bytes = options_.max_write_queue_bytes;
+  ropts.max_frame_bytes = options_.max_frame_bytes;
+  ropts.metrics = &reactor_metrics_;
+  reactor_ =
+      std::make_unique<Reactor>(ropts, static_cast<Reactor::Handler*>(this));
+  Status started = reactor_->Start();
+  if (!started.ok()) {
+    reactor_.reset();
+    return started;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("bind 127.0.0.1:" +
-                            std::to_string(options_.port) + ": " + error);
-  }
-  if (::listen(fd, 64) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("listen: " + error);
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  }
-  SetNonBlocking(fd);
-  if (::pipe(wake_fds_) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("pipe: " + error);
-  }
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
-
-  listen_fd_ = fd;
-  phase_.store(Phase::kRunning, std::memory_order_relaxed);
-  drain_acked_ = false;
+  port_ = reactor_->port();
   pump_stop_ = false;
   started_ = true;
-  io_thread_ = std::thread([this] { IoLoop(); });
   pump_thread_ = std::thread([this] { PumpLoop(); });
   LogInfo("event server listening",
-          {{"addr", "127.0.0.1"}, {"port", port_}});
+          {{"addr", "127.0.0.1"},
+           {"port", port_},
+           {"io_threads", options_.io_threads},
+           {"reuseport", reactor_->reuseport_active()}});
   return Status::OK();
 }
 
 void EventServer::Stop() {
-  {
-    std::unique_lock<std::mutex> lock(lifecycle_mu_);
-    if (!started_) return;
-    if (reactor_ != nullptr) {
-      lock.unlock();
-      // Same four phases as the legacy loop, delegated to the reactor.
-      // Phase 1: stop accepting and reading (no publish can race the
-      // drain below once BeginDrain returns).
-      reactor_->BeginDrain();
-      // Phase 2: drain the engine — every ACKed event is matched and its
-      // MATCH frames land in subscriber outboxes.
-      engine_->Flush();
-      // Phase 3: stop the pump.
-      {
-        std::lock_guard<std::mutex> pump_lock(pump_mu_);
-        pump_stop_ = true;
-      }
-      pump_cv_.notify_all();
-      pump_thread_.join();
-      // Phase 4: flush remaining outboxes (3s deadline), close, join.
-      reactor_->Stop(3000);
-      reactor_.reset();
-      lock.lock();
-      started_ = false;
-      port_ = 0;
-      LogInfo("event server stopped");
-      return;
-    }
-    // Phase 1: the I/O loop stops accepting and reading. Wait until it
-    // acknowledges, so no publish can race the engine drain below.
-    phase_.store(Phase::kDraining, std::memory_order_release);
-    WakeIoLoop();
-    lifecycle_cv_.wait(lock, [this] { return drain_acked_; });
-  }
-  // Phase 2: drain the engine. Every accepted (ACKed) event is matched and
-  // its MATCH notifications are appended to subscriber write queues.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  if (!started_) return;
+  // Phase 1: stop accepting and reading (no publish can race the drain
+  // below once BeginDrain returns).
+  reactor_->BeginDrain();
+  // Phase 2: drain the engine — every ACKed event is matched and its MATCH
+  // frames land in subscriber outboxes.
   engine_->Flush();
   // Phase 3: stop the pump (nothing left to drain).
   {
-    std::lock_guard<std::mutex> lock(pump_mu_);
+    std::lock_guard<std::mutex> pump_lock(pump_mu_);
     pump_stop_ = true;
   }
   pump_cv_.notify_all();
-  // Phase 4: the I/O loop flushes the remaining write queues and exits.
-  phase_.store(Phase::kStopping, std::memory_order_release);
-  WakeIoLoop();
-  io_thread_.join();
   pump_thread_.join();
-
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  ::close(listen_fd_);
-  ::close(wake_fds_[0]);
-  ::close(wake_fds_[1]);
-  listen_fd_ = wake_fds_[0] = wake_fds_[1] = -1;
+  // Phase 4: flush the remaining outboxes (bounded by a deadline for
+  // unresponsive peers), close every connection, join the I/O threads.
+  reactor_->Stop(kStopFlushDeadlineMs);
+  reactor_.reset();
   started_ = false;
   port_ = 0;
   LogInfo("event server stopped");
-}
-
-void EventServer::WakeIoLoop() {
-  if (reactor_ != nullptr) {
-    // Reactor mode: wake every I/O thread so parked publishes retry and
-    // fresh MATCH frames flush promptly.
-    reactor_->WakeAll();
-    return;
-  }
-  const char byte = 0;
-  // Nonblocking; EAGAIN means the pipe already holds a wakeup.
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
 void EventServer::PumpLoop() {
@@ -259,9 +140,9 @@ void EventServer::PumpLoop() {
       // Stop() must cover.
       APCM_FAILPOINT("net.server.pump.flush");
       engine_->Flush();
-      // Paused connections can retry their parked publish now, and fresh
+      // Wake every I/O thread: parked publishes can retry now, and fresh
       // MATCH frames are waiting to be written.
-      WakeIoLoop();
+      reactor_->WakeAll();
       lock.lock();
     } else {
       pump_cv_.wait_for(lock, std::chrono::milliseconds(5));
@@ -272,318 +153,105 @@ void EventServer::PumpLoop() {
 void EventServer::OnMatch(uint64_t event_id,
                           const std::vector<SubscriptionId>& matches) {
   // Group the engine-id match list by subscribing connection. Holding
-  // route_mu_ across the enqueues also pins every routed Connection: the
-  // I/O thread frees a connection only after erasing its routes under this
-  // mutex.
+  // route_mu_ across the enqueues keeps every routed connection's session
+  // alive: OnConnectionClosed erases its routes under this mutex first.
   std::lock_guard<std::mutex> lock(route_mu_);
-  if (reactor_ != nullptr) {
-    if (!matches.empty() && !routes_.empty()) {
-      // (connection, client sub id) targets, keyed by the raw pointer so
-      // frames group per connection exactly like the legacy path.
-      struct RTarget {
-        Reactor::Connection* key;
-        const Reactor::ConnPtr* conn;
-        uint64_t sub;
-      };
-      std::vector<RTarget> targets;
-      targets.reserve(matches.size());
-      for (SubscriptionId id : matches) {
-        auto it = routes_.find(id);
-        if (it == routes_.end()) continue;  // unsubscribed mid-flight
-        targets.push_back(RTarget{it->second.rconn.get(), &it->second.rconn,
-                                  it->second.client_sub_id});
-      }
-      std::sort(targets.begin(), targets.end(),
-                [](const RTarget& a, const RTarget& b) {
-                  return a.key != b.key ? a.key < b.key : a.sub < b.sub;
-                });
-      engine::EventTracer& tracer = engine_->tracer();
-      const bool traced = !targets.empty() && tracer.Sampled(event_id);
-      Frame frame;
-      frame.type = FrameType::kMatch;
-      frame.event_id = event_id;
-      for (size_t i = 0; i < targets.size();) {
-        Reactor::Connection* key = targets[i].key;
-        const Reactor::ConnPtr* conn = targets[i].conn;
-        frame.matches.clear();
-        for (; i < targets.size() && targets[i].key == key; ++i) {
-          frame.matches.push_back(targets[i].sub);
-        }
-        frame.matches.erase(
-            std::unique(frame.matches.begin(), frame.matches.end()),
-            frame.matches.end());
-        // Pending reference before the enqueue, exactly as in legacy mode:
-        // an I/O thread could otherwise write the frame and release a
-        // reference this thread has not added yet.
-        if (traced) tracer.AddPending(event_id, 1);
-        if (reactor_->Enqueue(*conn, frame, traced, event_id)) {
-          frames_out_->Increment();
-        } else if (traced) {
-          tracer.AbandonPending(event_id);  // dropped, no write coming
-        }
-      }
-    }
-    // PROGRESS after this event's MATCH frames (same stream-order contract
-    // as legacy mode; both are pushed by this thread, so the per-producer
-    // FIFO of the outbox preserves it).
-    if (!rfollowers_.empty()) {
-      Frame progress;
-      progress.type = FrameType::kProgress;
-      progress.event_id = event_id;
-      for (const Reactor::ConnPtr& follower : rfollowers_) {
-        APCM_FAILPOINT("net.server.progress");
-        if (reactor_->Enqueue(follower, progress)) frames_out_->Increment();
-      }
-    }
-    return;
-  }
-  bool enqueued = false;
   if (!matches.empty() && !routes_.empty()) {
-    // Small per-event fan-out: a flat vector beats a map here.
-    std::vector<std::pair<Connection*, uint64_t>> targets;
+    // (connection, client sub id) targets, keyed by the raw pointer so
+    // frames group per connection.
+    struct Target {
+      Reactor::Connection* key;
+      const Reactor::ConnPtr* conn;
+      uint64_t sub;
+    };
+    std::vector<Target> targets;
     targets.reserve(matches.size());
     for (SubscriptionId id : matches) {
       auto it = routes_.find(id);
       if (it == routes_.end()) continue;  // unsubscribed mid-flight
-      targets.emplace_back(it->second.conn, it->second.client_sub_id);
+      targets.push_back(Target{it->second.conn.get(), &it->second.conn,
+                               it->second.client_sub_id});
     }
-    std::sort(targets.begin(), targets.end());
+    std::sort(targets.begin(), targets.end(),
+              [](const Target& a, const Target& b) {
+                return a.key != b.key ? a.key < b.key : a.sub < b.sub;
+              });
     engine::EventTracer& tracer = engine_->tracer();
     const bool traced = !targets.empty() && tracer.Sampled(event_id);
     Frame frame;
     frame.type = FrameType::kMatch;
     frame.event_id = event_id;
     for (size_t i = 0; i < targets.size();) {
-      Connection* conn = targets[i].first;
+      Reactor::Connection* key = targets[i].key;
+      const Reactor::ConnPtr* conn = targets[i].conn;
       frame.matches.clear();
-      for (; i < targets.size() && targets[i].first == conn; ++i) {
-        frame.matches.push_back(targets[i].second);
+      for (; i < targets.size() && targets[i].key == key; ++i) {
+        frame.matches.push_back(targets[i].sub);
       }
       frame.matches.erase(
           std::unique(frame.matches.begin(), frame.matches.end()),
           frame.matches.end());
-      // The pending reference must exist before the write mark does:
-      // otherwise the I/O thread could flush the frame and release a
-      // reference this thread has not added yet, finalizing the trace early.
-      // This runs inside the delivery callback, so the engine's own reference
-      // is still held and the trace cannot finalize under us.
+      // The pending reference must exist before the enqueue: an I/O thread
+      // could otherwise write the frame and release a reference this thread
+      // has not added yet, finalizing the trace early. This runs inside the
+      // delivery callback, so the engine's own reference is still held and
+      // the trace cannot finalize under us.
       if (traced) tracer.AddPending(event_id, 1);
-      if (!EnqueueFrame(conn, frame, traced) && traced) {
-        tracer.AbandonPending(event_id);  // frame dropped, no write coming
+      if (reactor_->Enqueue(*conn, frame, traced, event_id)) {
+        frames_out_->Increment();
+      } else if (traced) {
+        tracer.AbandonPending(event_id);  // dropped, no write coming
       }
-      enqueued = true;
     }
   }
   // PROGRESS after this event's MATCH frames: the delivery callback runs
   // once per event in ascending event-id order, so "watermark = event_id"
-  // really does cover every earlier event on each follower's stream.
+  // covers every earlier event on each follower's stream. Both are pushed
+  // by this thread, so the per-producer FIFO of the outbox keeps the order.
   if (!followers_.empty()) {
     Frame progress;
     progress.type = FrameType::kProgress;
     progress.event_id = event_id;
-    for (Connection* follower : followers_) {
+    for (const Reactor::ConnPtr& follower : followers_) {
       APCM_FAILPOINT("net.server.progress");
-      EnqueueFrame(follower, progress);
-      enqueued = true;
+      Send(follower, progress);
     }
   }
-  if (enqueued) WakeIoLoop();
 }
 
-bool EventServer::EnqueueFrame(Connection* conn, const Frame& frame,
-                               bool traced) {
-  if (conn->doomed.load(std::memory_order_relaxed)) return false;
-  const std::string wire = EncodeFrame(frame);
-  bool overflow = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    if (conn->outbox.size() + wire.size() > options_.max_write_queue_bytes) {
-      overflow = true;
-    } else {
-      conn->outbox += wire;
-      if (traced) {
-        // The frame's last byte sits outbox_written + outbox.size() bytes
-        // into the connection's write stream; FlushWrites completes the
-        // event's kWrite stage when the socket passes that watermark.
-        conn->write_marks.push_back(WriteMark{
-            conn->outbox_written + conn->outbox.size(), frame.event_id});
-      }
-    }
+void EventServer::OnAccept(const Reactor::ConnPtr& conn) {
+  conn->set_user_data(new Session());
+  connections_->Add(1);
+  if (LogEnabled(LogLevel::kDebug)) {
+    LogDebug("connection accepted", {{"conn", conn->id()}});
   }
-  if (overflow) {
-    // Slow-consumer policy: drop the consumer, never stall the matcher or
-    // buffer without bound. The I/O thread reaps the connection.
-    conn->slow_consumer = true;
-    conn->doomed.store(true, std::memory_order_release);
-    WakeIoLoop();
-    return false;
-  }
-  frames_out_->Increment();
-  return true;
 }
 
-void EventServer::SendAck(Connection* conn, uint64_t seq, uint64_t value) {
+void EventServer::Send(const Reactor::ConnPtr& conn, const Frame& frame) {
+  if (reactor_->Enqueue(conn, frame)) frames_out_->Increment();
+}
+
+void EventServer::SendAck(const Reactor::ConnPtr& conn, uint64_t seq,
+                          uint64_t value) {
   Frame frame;
   frame.type = FrameType::kAck;
   frame.seq = seq;
   frame.value = value;
-  EnqueueFrame(conn, frame);
+  Send(conn, frame);
 }
 
-void EventServer::SendError(Connection* conn, uint64_t seq,
+void EventServer::SendError(const Reactor::ConnPtr& conn, uint64_t seq,
                             const Status& status) {
   Frame frame;
   frame.type = FrameType::kError;
   frame.seq = seq;
   frame.code = status.code();
   frame.message = status.message();
-  EnqueueFrame(conn, frame);
+  Send(conn, frame);
 }
 
-void EventServer::IoLoop() {
-  std::vector<pollfd> pfds;
-  std::vector<Connection*> polled;
-  std::chrono::steady_clock::time_point stop_deadline{};
-  bool stop_seen = false;
-  for (;;) {
-    const Phase phase = phase_.load(std::memory_order_acquire);
-    if (phase != Phase::kRunning) {
-      std::lock_guard<std::mutex> lock(lifecycle_mu_);
-      if (!drain_acked_) {
-        drain_acked_ = true;
-        lifecycle_cv_.notify_all();
-      }
-    }
-    if (phase == Phase::kStopping) {
-      if (!stop_seen) {
-        stop_seen = true;
-        stop_deadline = std::chrono::steady_clock::now() + kStopFlushDeadline;
-      }
-      if (AllWritesFlushed() ||
-          std::chrono::steady_clock::now() >= stop_deadline) {
-        break;
-      }
-    }
-
-    pfds.clear();
-    polled.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    if (phase == Phase::kRunning) {
-      pfds.push_back({listen_fd_, POLLIN, 0});
-    }
-    for (auto& [fd, conn] : conns_) {
-      short events = 0;
-      if (phase == Phase::kRunning && !conn->paused &&
-          !conn->doomed.load(std::memory_order_relaxed)) {
-        events |= POLLIN;
-      }
-      {
-        std::lock_guard<std::mutex> lock(conn->out_mu);
-        if (!conn->outbox.empty()) events |= POLLOUT;
-      }
-      if (events == 0) continue;
-      pfds.push_back({fd, events, 0});
-      polled.push_back(conn.get());
-    }
-
-    ::poll(pfds.data(), pfds.size(), kPollIntervalMs);
-
-    if (pfds[0].revents & POLLIN) {
-      char sink[256];
-      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
-      }
-    }
-    size_t next = 1;
-    if (phase == Phase::kRunning) {
-      if (pfds[next].revents & POLLIN) AcceptConnections();
-      ++next;
-    }
-    for (size_t i = 0; i < polled.size(); ++i) {
-      Connection* conn = polled[i];
-      const short revents = pfds[next + i].revents;
-      if (revents & (POLLOUT | POLLERR | POLLHUP)) {
-        if (!FlushWrites(conn)) continue;
-        if ((revents & (POLLERR | POLLHUP)) && !(revents & POLLIN)) {
-          // Peer is gone and there is nothing left to read.
-          conn->doomed.store(true, std::memory_order_relaxed);
-          continue;
-        }
-      }
-      if (revents & POLLIN) ReadConnection(conn);
-    }
-    // Parked publishes are only re-tried while running: during a drain the
-    // engine Flush in Stop() must see a frozen queue, and a parked event
-    // was never ACKed, so dropping it at shutdown is within contract.
-    if (phase == Phase::kRunning) RetryPaused();
-    ReapDoomed();
-  }
-
-  // Exit: close every connection (write queues were flushed above, or the
-  // deadline expired on an unresponsive peer).
-  std::vector<Connection*> remaining;
-  remaining.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) remaining.push_back(conn.get());
-  for (Connection* conn : remaining) CloseConnection(conn, "server stopped");
-  conns_.clear();
-}
-
-void EventServer::AcceptConnections() {
-  for (;;) {
-    const int fd = InstrumentedAccept(listen_fd_);
-    if (fd < 0) return;  // EAGAIN or transient error
-    SetNonBlocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    connections_->Add(1);
-    if (LogEnabled(LogLevel::kDebug)) {
-      LogDebug("connection accepted", {{"conn", conn->id}, {"fd", fd}});
-    }
-    conns_.emplace(fd, std::move(conn));
-  }
-}
-
-void EventServer::ReadConnection(Connection* conn) {
-  char buf[16 * 1024];
-  size_t budget = kReadBudgetBytes;
-  while (budget > 0) {
-    const ssize_t n = InstrumentedRecv(IoSide::kServer, conn->fd, buf,
-                                       std::min(sizeof(buf), budget), 0);
-    if (n == 0) {
-      conn->doomed.store(true, std::memory_order_relaxed);
-      break;
-    }
-    if (n < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        conn->doomed.store(true, std::memory_order_relaxed);
-      }
-      break;
-    }
-    bytes_in_->Increment(static_cast<uint64_t>(n));
-    budget -= static_cast<size_t>(n);
-    conn->decoder.Append(buf, static_cast<size_t>(n));
-  }
-  DrainDecoder(conn);
-}
-
-void EventServer::DrainDecoder(Connection* conn) {
-  while (!conn->paused && !conn->doomed.load(std::memory_order_relaxed)) {
-    StatusOr<std::optional<Frame>> next = conn->decoder.Next();
-    if (!next.ok()) {
-      LogWarning("protocol error; closing connection",
-                 {{"conn", conn->id}, {"error", next.status().ToString()}});
-      conn->doomed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (!next->has_value()) return;  // need more bytes
-    frames_in_->Increment();
-    DispatchFrame(conn, std::move(**next));
-  }
-}
-
-void EventServer::DispatchFrame(Connection* conn, Frame frame) {
+void EventServer::OnFrame(const Reactor::ConnPtr& conn, Frame frame) {
+  frames_in_->Increment();
   switch (frame.type) {
     case FrameType::kPublish:
       HandlePublish(conn, std::move(frame));
@@ -598,7 +266,7 @@ void EventServer::DispatchFrame(Connection* conn, Frame frame) {
       Frame pong;
       pong.type = FrameType::kPong;
       pong.seq = frame.seq;
-      EnqueueFrame(conn, pong);
+      Send(conn, pong);
       return;
     }
     case FrameType::kFollow:
@@ -622,12 +290,12 @@ void EventServer::DispatchFrame(Connection* conn, Frame frame) {
                 Status::InvalidArgument(
                     std::string(FrameTypeName(frame.type)) +
                     " frames are server-to-client only"));
-      conn->doomed.store(true, std::memory_order_relaxed);
+      reactor_->Doom(conn, CloseReason::kProtocolError);
       return;
   }
 }
 
-void EventServer::HandlePublish(Connection* conn, Frame frame) {
+void EventServer::HandlePublish(const Reactor::ConnPtr& conn, Frame frame) {
   // kRead instant: the transport has finished reading and decoding the
   // frame. Captured before admission so a parked-then-retried publish keeps
   // its original read timestamp (the queue wait is real latency).
@@ -647,317 +315,10 @@ void EventServer::HandlePublish(Connection* conn, Frame frame) {
     return;
   }
   // Engine backpressure: park the event, pause reading this connection
-  // (TCP pushes back on the remote publisher), resume once the engine has
-  // drained. Later frames from this connection wait in its decoder, so
-  // per-connection publish order is preserved.
-  conn->paused = true;
-  conn->pending = PendingPublish{frame.seq, std::move(event), ingress};
-  backpressure_events_->Increment();
-  pump_cv_.notify_one();
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("connection paused on engine backpressure",
-             {{"conn", conn->id},
-              {"queue_depth", engine_->queue_depth()}});
-  }
-}
-
-void EventServer::HandleSubscribe(Connection* conn, const Frame& frame) {
-  if (conn->subs.contains(frame.sub_id)) {
-    SendError(conn, frame.seq,
-              Status::AlreadyExists("subscription id " +
-                                    std::to_string(frame.sub_id) +
-                                    " is already registered"));
-    return;
-  }
-  auto disjuncts = parser_.ParseDisjunction(frame.expression);
-  if (!disjuncts.ok()) {
-    SendError(conn, frame.seq, disjuncts.status());
-    return;
-  }
-  StatusOr<SubscriptionId> added =
-      disjuncts->size() == 1
-          ? engine_->AddSubscription(std::move((*disjuncts)[0]))
-          : engine_->AddDisjunctiveSubscription(std::move(*disjuncts));
-  if (!added.ok()) {
-    SendError(conn, frame.seq, added.status());
-    return;
-  }
-  conn->subs.emplace(frame.sub_id, *added);
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    routes_[*added] = Route{conn, nullptr, frame.sub_id};
-  }
-  SendAck(conn, frame.seq, *added);
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("subscription registered", {{"conn", conn->id},
-                                         {"client_sub", frame.sub_id},
-                                         {"engine_sub", *added}});
-  }
-}
-
-void EventServer::HandleUnsubscribe(Connection* conn, const Frame& frame) {
-  auto it = conn->subs.find(frame.sub_id);
-  if (it == conn->subs.end()) {
-    SendError(conn, frame.seq,
-              Status::NotFound("subscription id " +
-                               std::to_string(frame.sub_id) +
-                               " is not registered on this connection"));
-    return;
-  }
-  const SubscriptionId engine_id = it->second;
-  conn->subs.erase(it);
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    routes_.erase(engine_id);
-  }
-  const Status removed = engine_->RemoveSubscription(engine_id);
-  if (!removed.ok()) {
-    SendError(conn, frame.seq, removed);
-    return;
-  }
-  SendAck(conn, frame.seq, 0);
-}
-
-void EventServer::HandleFollow(Connection* conn, const Frame& frame) {
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    if (!conn->follower) {
-      conn->follower = true;
-      followers_.push_back(conn);
-    }
-  }
-  SendAck(conn, frame.seq, 0);
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("connection following progress", {{"conn", conn->id}});
-  }
-}
-
-void EventServer::RetryPaused() {
-  for (auto& [fd, conn] : conns_) {
-    if (!conn->paused || conn->doomed.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    Event event = conn->pending->event;  // keep the parked copy retryable
-    StatusOr<uint64_t> id =
-        engine_->TryPublish(std::move(event), conn->pending->ingress);
-    if (!id.ok()) continue;  // still saturated; retry on the next wakeup
-    SendAck(conn.get(), conn->pending->seq, *id);
-    conn->pending.reset();
-    conn->paused = false;
-    pump_cv_.notify_one();
-    if (LogEnabled(LogLevel::kDebug)) {
-      LogDebug("connection resumed after drain", {{"conn", conn->id}});
-    }
-    // Frames that arrived behind the parked publish are still buffered.
-    DrainDecoder(conn.get());
-  }
-}
-
-void EventServer::ReapDoomed() {
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Connection* conn = it->second.get();
-    if (!conn->doomed.load(std::memory_order_acquire)) {
-      ++it;
-      continue;
-    }
-    // Give the outbox one final best-effort flush (e.g. the ERROR frame of
-    // a protocol violation).
-    FlushWrites(conn);
-    const char* reason =
-        conn->slow_consumer ? "slow consumer (write queue overflow)"
-                            : "connection closed";
-    if (conn->slow_consumer) slow_consumer_disconnects_->Increment();
-    std::unique_ptr<Connection> owned = std::move(it->second);
-    it = conns_.erase(it);
-    CloseConnection(owned.get(), reason);
-    // `owned` frees the Connection here, after CloseConnection erased its
-    // routes under route_mu_.
-  }
-}
-
-void EventServer::CloseConnection(Connection* conn, const char* reason) {
-  // Unregister the connection's subscriptions: erase the routes first
-  // (under route_mu_, so the match callback cannot reach this connection
-  // again), then remove from the engine.
-  std::vector<SubscriptionId> engine_ids;
-  engine_ids.reserve(conn->subs.size());
-  for (const auto& [client_id, engine_id] : conn->subs) {
-    engine_ids.push_back(engine_id);
-  }
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    for (SubscriptionId id : engine_ids) routes_.erase(id);
-    if (conn->follower) {
-      followers_.erase(
-          std::remove(followers_.begin(), followers_.end(), conn),
-          followers_.end());
-    }
-  }
-  for (SubscriptionId id : engine_ids) {
-    [[maybe_unused]] Status removed = engine_->RemoveSubscription(id);
-  }
-  {
-    // Writes that will never happen: release their trace references so the
-    // traces of events routed here still finalize (without a kWrite stamp).
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    for (const WriteMark& mark : conn->write_marks) {
-      engine_->tracer().AbandonPending(mark.event_id);
-    }
-    conn->write_marks.clear();
-  }
-  ::close(conn->fd);
-  connections_->Sub(1);
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("connection closed", {{"conn", conn->id},
-                                   {"reason", reason},
-                                   {"subs_removed", engine_ids.size()}});
-  }
-}
-
-bool EventServer::FlushWrites(Connection* conn) {
-  engine::EventTracer& tracer = engine_->tracer();
-  std::lock_guard<std::mutex> lock(conn->out_mu);
-  while (!conn->outbox.empty()) {
-    const ssize_t n = InstrumentedSend(IoSide::kServer, conn->fd,
-                                       conn->outbox.data(),
-                                       conn->outbox.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      bytes_out_->Increment(static_cast<uint64_t>(n));
-      conn->outbox.erase(0, static_cast<size_t>(n));
-      conn->outbox_written += static_cast<uint64_t>(n);
-      // Any traced MATCH frame whose last byte the socket just accepted has
-      // completed its write stage.
-      while (!conn->write_marks.empty() &&
-             conn->write_marks.front().watermark <= conn->outbox_written) {
-        tracer.CompleteStage(conn->write_marks.front().event_id,
-                             engine::EventTracer::kWrite, tracer.NowNs());
-        conn->write_marks.pop_front();
-      }
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    conn->doomed.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-bool EventServer::AllWritesFlushed() {
-  for (auto& [fd, conn] : conns_) {
-    if (conn->doomed.load(std::memory_order_relaxed)) continue;
-    std::lock_guard<std::mutex> lock(conn->out_mu);
-    if (!conn->outbox.empty()) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Reactor mode: protocol handler. Every callback runs on the connection's
-// owner I/O thread; per-connection session state needs no locks, while
-// cross-connection state (routes, parser) keeps the same mutexes the
-// legacy path already uses plus control_mu_ for the parser.
-// ---------------------------------------------------------------------------
-
-void EventServer::OnAccept(const Reactor::ConnPtr& conn) {
-  conn->set_user_data(new ReactorSession());
-  connections_->Add(1);
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("connection accepted", {{"conn", conn->id()}});
-  }
-}
-
-void EventServer::SendAckReactor(const Reactor::ConnPtr& conn, uint64_t seq,
-                                 uint64_t value) {
-  Frame frame;
-  frame.type = FrameType::kAck;
-  frame.seq = seq;
-  frame.value = value;
-  if (reactor_->Enqueue(conn, frame)) frames_out_->Increment();
-}
-
-void EventServer::SendErrorReactor(const Reactor::ConnPtr& conn, uint64_t seq,
-                                   const Status& status) {
-  Frame frame;
-  frame.type = FrameType::kError;
-  frame.seq = seq;
-  frame.code = status.code();
-  frame.message = status.message();
-  if (reactor_->Enqueue(conn, frame)) frames_out_->Increment();
-}
-
-void EventServer::OnFrame(const Reactor::ConnPtr& conn, Frame frame) {
-  frames_in_->Increment();
-  switch (frame.type) {
-    case FrameType::kPublish:
-      HandlePublishReactor(conn, std::move(frame));
-      return;
-    case FrameType::kSubscribe:
-      HandleSubscribeReactor(conn, frame);
-      return;
-    case FrameType::kUnsubscribe:
-      HandleUnsubscribeReactor(conn, frame);
-      return;
-    case FrameType::kPing: {
-      Frame pong;
-      pong.type = FrameType::kPong;
-      pong.seq = frame.seq;
-      if (reactor_->Enqueue(conn, pong)) frames_out_->Increment();
-      return;
-    }
-    case FrameType::kFollow: {
-      ReactorSession* session = SessionOf(conn);
-      {
-        std::lock_guard<std::mutex> lock(route_mu_);
-        if (!session->follower) {
-          session->follower = true;
-          rfollowers_.push_back(conn);
-        }
-      }
-      SendAckReactor(conn, frame.seq, 0);
-      return;
-    }
-    case FrameType::kUnknown:
-      SendErrorReactor(conn, frame.seq,
-                       Status::Unimplemented(
-                           "frame type " + std::to_string(frame.raw_type) +
-                           " is not supported by this server"));
-      return;
-    case FrameType::kMatch:
-    case FrameType::kAck:
-    case FrameType::kError:
-    case FrameType::kPong:
-    case FrameType::kProgress:
-      SendErrorReactor(conn, frame.seq,
-                       Status::InvalidArgument(
-                           std::string(FrameTypeName(frame.type)) +
-                           " frames are server-to-client only"));
-      reactor_->Doom(conn, CloseReason::kProtocolError);
-      return;
-  }
-}
-
-void EventServer::HandlePublishReactor(const Reactor::ConnPtr& conn,
-                                       Frame frame) {
-  const engine::IngressTrace ingress{frame.trace_id,
-                                     engine_->tracer().NowNs()};
-  // Keep a copy: TryPublish consumes its argument even on rejection, and a
-  // rejected event must survive to be re-tried (the ACK contract).
-  Event event = frame.event;
-  StatusOr<uint64_t> id = engine_->TryPublish(std::move(frame.event), ingress);
-  if (id.ok()) {
-    SendAckReactor(conn, frame.seq, *id);
-    pump_cv_.notify_one();
-    return;
-  }
-  if (id.status().code() != StatusCode::kResourceExhausted) {
-    SendErrorReactor(conn, frame.seq, id.status());
-    return;
-  }
-  // Engine backpressure, same state machine as the legacy loop: park the
-  // event, pause reading (TCP pushes back on the remote publisher), and
-  // retry on service ticks until the engine admits it.
-  ReactorSession* session = SessionOf(conn);
+  // (TCP pushes back on the remote publisher), and retry on service ticks
+  // until the engine admits it. Later frames from this connection wait in
+  // its decoder, so per-connection publish order is preserved.
+  Session* session = SessionOf(conn);
   session->pending = PendingPublish{frame.seq, std::move(event), ingress};
   reactor_->PauseRead(conn);
   reactor_->RequestService(conn);
@@ -971,13 +332,13 @@ void EventServer::HandlePublishReactor(const Reactor::ConnPtr& conn,
 }
 
 bool EventServer::OnService(const Reactor::ConnPtr& conn) {
-  ReactorSession* session = SessionOf(conn);
+  Session* session = SessionOf(conn);
   if (!session->pending.has_value()) return true;
   Event event = session->pending->event;  // keep the parked copy retryable
   StatusOr<uint64_t> id =
       engine_->TryPublish(std::move(event), session->pending->ingress);
   if (!id.ok()) return false;  // still saturated; retry next tick
-  SendAckReactor(conn, session->pending->seq, *id);
+  SendAck(conn, session->pending->seq, *id);
   session->pending.reset();
   reactor_->ResumeRead(conn);
   pump_cv_.notify_one();
@@ -987,14 +348,14 @@ bool EventServer::OnService(const Reactor::ConnPtr& conn) {
   return true;
 }
 
-void EventServer::HandleSubscribeReactor(const Reactor::ConnPtr& conn,
-                                         const Frame& frame) {
-  ReactorSession* session = SessionOf(conn);
+void EventServer::HandleSubscribe(const Reactor::ConnPtr& conn,
+                                  const Frame& frame) {
+  Session* session = SessionOf(conn);
   if (session->subs.contains(frame.sub_id)) {
-    SendErrorReactor(conn, frame.seq,
-                     Status::AlreadyExists("subscription id " +
-                                           std::to_string(frame.sub_id) +
-                                           " is already registered"));
+    SendError(conn, frame.seq,
+              Status::AlreadyExists("subscription id " +
+                                    std::to_string(frame.sub_id) +
+                                    " is already registered"));
     return;
   }
   StatusOr<SubscriptionId> added = [&]() -> StatusOr<SubscriptionId> {
@@ -1008,15 +369,15 @@ void EventServer::HandleSubscribeReactor(const Reactor::ConnPtr& conn,
                : engine_->AddDisjunctiveSubscription(std::move(*disjuncts));
   }();
   if (!added.ok()) {
-    SendErrorReactor(conn, frame.seq, added.status());
+    SendError(conn, frame.seq, added.status());
     return;
   }
   session->subs.emplace(frame.sub_id, *added);
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    routes_[*added] = Route{nullptr, conn, frame.sub_id};
+    routes_[*added] = Route{conn, frame.sub_id};
   }
-  SendAckReactor(conn, frame.seq, *added);
+  SendAck(conn, frame.seq, *added);
   if (LogEnabled(LogLevel::kDebug)) {
     LogDebug("subscription registered", {{"conn", conn->id()},
                                          {"client_sub", frame.sub_id},
@@ -1024,15 +385,15 @@ void EventServer::HandleSubscribeReactor(const Reactor::ConnPtr& conn,
   }
 }
 
-void EventServer::HandleUnsubscribeReactor(const Reactor::ConnPtr& conn,
-                                           const Frame& frame) {
-  ReactorSession* session = SessionOf(conn);
+void EventServer::HandleUnsubscribe(const Reactor::ConnPtr& conn,
+                                    const Frame& frame) {
+  Session* session = SessionOf(conn);
   auto it = session->subs.find(frame.sub_id);
   if (it == session->subs.end()) {
-    SendErrorReactor(conn, frame.seq,
-                     Status::NotFound("subscription id " +
-                                      std::to_string(frame.sub_id) +
-                                      " is not registered on this connection"));
+    SendError(conn, frame.seq,
+              Status::NotFound("subscription id " +
+                               std::to_string(frame.sub_id) +
+                               " is not registered on this connection"));
     return;
   }
   const SubscriptionId engine_id = it->second;
@@ -1043,15 +404,31 @@ void EventServer::HandleUnsubscribeReactor(const Reactor::ConnPtr& conn,
   }
   const Status removed = engine_->RemoveSubscription(engine_id);
   if (!removed.ok()) {
-    SendErrorReactor(conn, frame.seq, removed);
+    SendError(conn, frame.seq, removed);
     return;
   }
-  SendAckReactor(conn, frame.seq, 0);
+  SendAck(conn, frame.seq, 0);
+}
+
+void EventServer::HandleFollow(const Reactor::ConnPtr& conn,
+                               const Frame& frame) {
+  Session* session = SessionOf(conn);
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    if (!session->follower) {
+      session->follower = true;
+      followers_.push_back(conn);
+    }
+  }
+  SendAck(conn, frame.seq, 0);
+  if (LogEnabled(LogLevel::kDebug)) {
+    LogDebug("connection following progress", {{"conn", conn->id()}});
+  }
 }
 
 void EventServer::OnConnectionClosed(const Reactor::ConnPtr& conn,
                                      CloseReason reason) {
-  std::unique_ptr<ReactorSession> session(SessionOf(conn));
+  std::unique_ptr<Session> session(SessionOf(conn));
   conn->set_user_data(nullptr);
   if (session == nullptr) return;
   std::vector<SubscriptionId> engine_ids;
@@ -1066,9 +443,9 @@ void EventServer::OnConnectionClosed(const Reactor::ConnPtr& conn,
     std::lock_guard<std::mutex> lock(route_mu_);
     for (SubscriptionId id : engine_ids) routes_.erase(id);
     if (session->follower) {
-      rfollowers_.erase(
-          std::remove(rfollowers_.begin(), rfollowers_.end(), conn),
-          rfollowers_.end());
+      followers_.erase(
+          std::remove(followers_.begin(), followers_.end(), conn),
+          followers_.end());
     }
   }
   for (SubscriptionId id : engine_ids) {

@@ -1,10 +1,8 @@
 #ifndef APCM_NET_SERVER_H_
 #define APCM_NET_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,14 +38,12 @@ struct EventServerOptions {
   size_t max_write_queue_bytes = 4u << 20;
   /// Per-frame payload cap enforced on incoming frames.
   size_t max_frame_bytes = kMaxPayloadBytes;
-  /// I/O front-end selection (DESIGN.md §3.14). 0 keeps the original
-  /// single-thread poll() loop; N >= 1 serves connections from an
-  /// edge-triggered epoll reactor with N I/O threads. The default of 1
-  /// preserves today's single-I/O-thread semantics on the reactor path.
+  /// I/O threads of the epoll reactor that serves connections (1..64;
+  /// DESIGN.md §3.14).
   int io_threads = 1;
-  /// Reactor mode only: shared-nothing accept via one SO_REUSEPORT
-  /// listening socket per I/O thread. When disabled (or unavailable on the
-  /// host) thread 0 accepts and deals connections round-robin.
+  /// Shared-nothing accept via one SO_REUSEPORT listening socket per I/O
+  /// thread. When disabled (or unavailable on the host) thread 0 accepts
+  /// and deals connections round-robin.
   bool reuseport_accept = true;
   /// Attribute names pre-registered into the server's catalog at Start(), in
   /// id order (name k gets AttributeId k, default domain). Names not listed
@@ -71,19 +67,15 @@ Status ValidateEventServerOptions(const EventServerOptions& options);
 /// notifications routed to the connection that registered each matching
 /// subscription.
 ///
-/// Architecture (DESIGN.md §3.8, §3.14): the I/O front-end is selected by
-/// `EventServerOptions::io_threads`. The default (>= 1) composes the
-/// edge-triggered epoll Reactor (reactor.h) with the engine pump: the
-/// reactor owns sockets, framing, and write batching across N I/O threads,
-/// and this class supplies the protocol state machine (publish admission,
-/// subscription routing, parked-publish retry) as its Handler.
-/// `io_threads = 0` retains the original single-thread poll() readiness
-/// loop — the differential baseline the reactor is validated against.
-/// Either way, one pump thread drains the engine whenever events are
-/// queued, so matching never monopolizes I/O threads. Engine backpressure
-/// propagates to the socket layer identically in both modes: a publish
-/// that hits BackpressurePolicy::kReject parks the event on its
-/// connection, pauses reading that connection (the kernel's TCP window
+/// Architecture (DESIGN.md §3.8, §3.14): the edge-triggered epoll Reactor
+/// (reactor.h) owns sockets, framing, and write batching across
+/// `EventServerOptions::io_threads` I/O threads, and this class is its
+/// Handler: it supplies the protocol state machine (publish admission,
+/// subscription routing, parked-publish retry) and one pump thread that
+/// drains the engine whenever events are queued, so matching never
+/// monopolizes I/O threads. Engine backpressure propagates to the socket
+/// layer: a publish that hits BackpressurePolicy::kReject parks the event on
+/// its connection, pauses reading that connection (the kernel's TCP window
 /// then pushes back on the remote publisher), and resumes once the engine
 /// has drained — the parked event is re-tried and acknowledged before any
 /// later frame from that connection is processed, so an ACK is a durable
@@ -105,8 +97,9 @@ class EventServer : private Reactor::Handler {
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  /// Binds 127.0.0.1:port and launches the I/O and pump threads.
-  /// InvalidArgument if already started, Internal on socket errors.
+  /// Binds 127.0.0.1:port and launches the reactor and pump threads.
+  /// InvalidArgument if already started or misconfigured, IOError on socket
+  /// errors.
   Status Start();
 
   /// Drains and shuts down (idempotent; see class comment).
@@ -124,18 +117,13 @@ class EventServer : private Reactor::Handler {
   /// Live connection count (the apcm_net_connections gauge).
   int64_t num_connections() const { return connections_->Value(); }
 
-  /// Reactor mode: true when accept sharding via SO_REUSEPORT is live
-  /// (false in legacy mode or under the single-acceptor fallback).
+  /// True while running with accept sharding via SO_REUSEPORT (false under
+  /// the single-acceptor fallback).
   bool reuseport_active() const {
     return reactor_ != nullptr && reactor_->reuseport_active();
   }
 
  private:
-  /// Lifecycle phases of the I/O loop. kDraining stops accept/read but
-  /// keeps writes flowing (Stop's engine Flush is still routing matches);
-  /// kStopping flushes remaining writes and exits.
-  enum class Phase : int { kRunning = 0, kDraining = 1, kStopping = 2 };
-
   /// A publish frame admitted from the wire but rejected by the engine
   /// queue; re-tried until accepted, then acknowledged. Carries the frame's
   /// ingress trace context so a retried event keeps its original read
@@ -146,165 +134,81 @@ class EventServer : private Reactor::Handler {
     engine::IngressTrace ingress;
   };
 
-  /// Outbox position at which a traced event's last byte leaves this
-  /// connection: once `watermark` total bytes have been written to the
-  /// socket, the event's kWrite stage completes (guarded by out_mu).
-  struct WriteMark {
-    uint64_t watermark = 0;
-    uint64_t event_id = 0;
-  };
-
-  struct Connection {
-    int fd = -1;
-    uint64_t id = 0;  ///< monotone accept counter, for logs
-    FrameDecoder decoder;
-    /// Outgoing bytes, appended by the I/O thread (ACK/ERROR/PONG) and by
-    /// the engine's match callback (MATCH, possibly from the pump thread),
-    /// drained by the I/O thread.
-    std::mutex out_mu;
-    std::string outbox;
-    /// Total bytes ever written from this outbox to the socket (out_mu).
-    /// Watermarks in write_marks are measured against this counter.
-    uint64_t outbox_written = 0;
-    /// Pending kWrite trace completions, watermark-ascending (out_mu). Each
-    /// mark holds one EventTracer pending reference, released by FlushWrites
-    /// when the socket passes its watermark, or abandoned at teardown.
-    std::deque<WriteMark> write_marks;
-    /// True once the connection must be closed (protocol error, write
-    /// failure, slow consumer). Set from any thread; the I/O thread closes.
-    std::atomic<bool> doomed{false};
-    bool slow_consumer = false;  ///< doomed because the outbox overflowed
-    /// Engine backpressure: reading is suspended while a publish is parked.
-    bool paused = false;
-    /// True once this connection sent FOLLOW: it receives one PROGRESS
-    /// frame per processed event (guarded by route_mu_ with followers_).
-    bool follower = false;
-    std::optional<PendingPublish> pending;
-    /// client-chosen sub id -> engine subscription id (I/O thread only).
-    std::unordered_map<uint64_t, SubscriptionId> subs;
-
-    explicit Connection(size_t max_frame_bytes) : decoder(max_frame_bytes) {}
-  };
-
-  /// Where MATCH notifications for one engine subscription go. Exactly one
-  /// of `conn` (legacy poll loop) / `rconn` (reactor mode) is set; the
-  /// ConnPtr additionally pins the reactor connection against teardown
-  /// while a route still points at it.
+  /// Where MATCH notifications for one engine subscription go. The ConnPtr
+  /// pins the connection against teardown while a route still points at it.
   struct Route {
-    Connection* conn = nullptr;
-    Reactor::ConnPtr rconn;
+    Reactor::ConnPtr conn;
     uint64_t client_sub_id = 0;
   };
 
-  /// Per-connection protocol state in reactor mode, owned via
+  /// Per-connection protocol state, owned via
   /// Reactor::Connection::user_data. Mutated only on the connection's owner
   /// I/O thread (OnFrame / OnService / OnConnectionClosed), except
-  /// `follower`, which route_mu_ also guards with rfollowers_.
-  struct ReactorSession {
+  /// `follower`, which route_mu_ also guards with followers_.
+  struct Session {
     std::optional<PendingPublish> pending;
     bool follower = false;
     /// client-chosen sub id -> engine subscription id.
     std::unordered_map<uint64_t, SubscriptionId> subs;
   };
 
-  void IoLoop();
   void PumpLoop();
   /// Engine match callback: groups `matches` by subscribing connection and
-  /// enqueues one MATCH frame per connection. Runs under the engine's
-  /// processing lock (pump thread, or the I/O thread's inline round).
+  /// enqueues one MATCH frame per connection, then one PROGRESS frame per
+  /// follower. Runs under the engine's processing lock (pump thread, or an
+  /// I/O thread's inline round).
   void OnMatch(uint64_t event_id, const std::vector<SubscriptionId>& matches);
 
-  void AcceptConnections();
-  void ReadConnection(Connection* conn);
-  /// Decodes and dispatches buffered frames until the connection pauses,
-  /// dies, or runs out of complete frames.
-  void DrainDecoder(Connection* conn);
-  void DispatchFrame(Connection* conn, Frame frame);
-  void HandlePublish(Connection* conn, Frame frame);
-  void HandleSubscribe(Connection* conn, const Frame& frame);
-  void HandleUnsubscribe(Connection* conn, const Frame& frame);
-  /// Registers `conn` as a PROGRESS follower (idempotent) and ACKs.
-  void HandleFollow(Connection* conn, const Frame& frame);
-  /// Re-tries every parked publish; un-pauses connections whose event the
-  /// engine accepted.
-  void RetryPaused();
-  /// Closes doomed connections: removes their engine subscriptions and
-  /// routes, then frees them.
-  void ReapDoomed();
-  void CloseConnection(Connection* conn, const char* reason);
-
-  /// Appends one frame to `conn`'s write queue, enforcing the
-  /// slow-consumer bound. Safe from any thread. Returns false when the frame
-  /// was dropped (connection doomed or outbox overflow). `traced` registers
-  /// a write mark for `frame.event_id` at the frame's end: the caller has
-  /// added one tracer pending reference, which FlushWrites releases (kWrite
-  /// stamp) once the frame's last byte reaches the socket; a false return
-  /// means the mark was NOT registered and the caller must release its
-  /// reference. (A bool, not a sentinel id: engine event ids start at 0.)
-  bool EnqueueFrame(Connection* conn, const Frame& frame,
-                    bool traced = false);
-  void SendAck(Connection* conn, uint64_t seq, uint64_t value);
-  void SendError(Connection* conn, uint64_t seq, const Status& status);
-  /// Writes as much of `conn`'s outbox as the socket accepts right now.
-  /// Returns false on a fatal write error (connection doomed).
-  bool FlushWrites(Connection* conn);
-  /// True when every live connection's outbox is empty.
-  bool AllWritesFlushed();
-  void WakeIoLoop();
-
-  // --- Reactor::Handler (reactor mode; every callback runs on the
-  // connection's owner I/O thread) ---
+  // --- Reactor::Handler (every callback runs on the connection's owner I/O
+  // thread) ---
   void OnAccept(const Reactor::ConnPtr& conn) override;
   void OnFrame(const Reactor::ConnPtr& conn, Frame frame) override;
+  /// Re-tries the connection's parked publish; un-pauses it once the engine
+  /// accepts.
   bool OnService(const Reactor::ConnPtr& conn) override;
+  /// Removes the connection's engine subscriptions, routes, and follower
+  /// registration.
   void OnConnectionClosed(const Reactor::ConnPtr& conn,
                           CloseReason reason) override;
   void OnTracedFrameWritten(uint64_t event_id) override;
   void OnTracedFrameAbandoned(uint64_t event_id) override;
 
-  static ReactorSession* SessionOf(const Reactor::ConnPtr& conn) {
-    return static_cast<ReactorSession*>(conn->user_data());
+  static Session* SessionOf(const Reactor::ConnPtr& conn) {
+    return static_cast<Session*>(conn->user_data());
   }
-  void HandlePublishReactor(const Reactor::ConnPtr& conn, Frame frame);
-  void HandleSubscribeReactor(const Reactor::ConnPtr& conn,
-                              const Frame& frame);
-  void HandleUnsubscribeReactor(const Reactor::ConnPtr& conn,
-                                const Frame& frame);
-  void SendAckReactor(const Reactor::ConnPtr& conn, uint64_t seq,
-                      uint64_t value);
-  void SendErrorReactor(const Reactor::ConnPtr& conn, uint64_t seq,
-                        const Status& status);
+  void HandlePublish(const Reactor::ConnPtr& conn, Frame frame);
+  void HandleSubscribe(const Reactor::ConnPtr& conn, const Frame& frame);
+  void HandleUnsubscribe(const Reactor::ConnPtr& conn, const Frame& frame);
+  /// Registers `conn` as a PROGRESS follower (idempotent) and ACKs.
+  void HandleFollow(const Reactor::ConnPtr& conn, const Frame& frame);
+  /// Enqueues `frame` on `conn`, counting it when the reactor accepts it.
+  void Send(const Reactor::ConnPtr& conn, const Frame& frame);
+  void SendAck(const Reactor::ConnPtr& conn, uint64_t seq, uint64_t value);
+  void SendError(const Reactor::ConnPtr& conn, uint64_t seq,
+                 const Status& status);
 
   EventServerOptions options_;
   std::unique_ptr<engine::StreamEngine> engine_;
 
-  /// Expression front-end for SUBSCRIBE frames. Legacy mode touches it
-  /// from the single I/O thread; reactor mode serializes subscribe /
-  /// unsubscribe control operations (parser, catalog, engine subscription
-  /// mutation) under control_mu_, since any of N I/O threads may dispatch
+  /// Expression front-end for SUBSCRIBE frames. Subscribe / unsubscribe
+  /// control operations (parser, catalog, engine subscription mutation)
+  /// serialize under control_mu_, since any of N I/O threads may dispatch
   /// them.
   Catalog catalog_;
   StringDictionary strings_;
   Parser parser_{&catalog_, &strings_};
   std::mutex control_mu_;
 
-  /// Reactor front-end (reactor mode only; null in legacy mode and between
-  /// Stop and the next Start). Instruments live in reactor_metrics_,
-  /// registered once at construction so Stop/Start cycles never
-  /// re-register.
+  /// The I/O front-end (null before Start and after Stop). Instruments live
+  /// in reactor_metrics_, registered once at construction so Stop/Start
+  /// cycles never re-register.
   ReactorMetrics reactor_metrics_;
   std::unique_ptr<Reactor> reactor_;
 
-  // Lifecycle (guarded by lifecycle_mu_ where not atomic).
+  // Lifecycle (guarded by lifecycle_mu_).
   std::mutex lifecycle_mu_;
-  std::condition_variable lifecycle_cv_;
   bool started_ = false;
-  bool drain_acked_ = false;  ///< I/O thread has stopped reading
-  std::atomic<Phase> phase_{Phase::kRunning};
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  ///< self-pipe: [0] polled, [1] written
   int port_ = 0;
-  std::thread io_thread_;
   std::thread pump_thread_;
 
   // Pump signalling.
@@ -312,23 +216,15 @@ class EventServer : private Reactor::Handler {
   std::condition_variable pump_cv_;
   bool pump_stop_ = false;
 
-  /// Connections, keyed by fd. Owned and mutated by the I/O thread; a
-  /// Connection is freed only after its routes are erased under route_mu_,
-  /// so the match callback never holds a dangling pointer.
-  std::unordered_map<int, std::unique_ptr<Connection>> conns_;
-  uint64_t next_conn_id_ = 0;
-
-  /// engine subscription id -> subscriber connection. Written by the I/O
-  /// thread (subscribe/unsubscribe/disconnect), read by the match callback.
+  /// engine subscription id -> subscriber connection. Written by I/O
+  /// threads (subscribe/unsubscribe/disconnect), read by the match callback.
   std::mutex route_mu_;
   std::unordered_map<SubscriptionId, Route> routes_;
   /// Connections that opted into PROGRESS watermarks (route_mu_). The match
   /// callback enqueues one PROGRESS per processed event to each, *after*
   /// that event's MATCH frames — a follower that is also a subscriber sees
-  /// MATCH(e) before PROGRESS(e) on its stream. Legacy connections land in
-  /// followers_, reactor connections in rfollowers_.
-  std::vector<Connection*> followers_;
-  std::vector<Reactor::ConnPtr> rfollowers_;
+  /// MATCH(e) before PROGRESS(e) on its stream.
+  std::vector<Reactor::ConnPtr> followers_;
 
   // Registry-owned instruments (registered into engine_->metrics_registry()
   // at construction; the registry outlives both server threads).

@@ -376,9 +376,11 @@ TEST(ClusterRouterTest, LiveAddAndRemoveKeepTheStreamExact) {
   EXPECT_EQ(CounterValue(registry, "apcm_cluster_repartitions_total"), 2u);
 }
 
-// Chaos: sever backend connections mid-stream (cluster.backend.recv) and
-// let the resync replay regenerate the tail — the digest must not change.
-// Resync duplicates must dedupe in the merge buffer, never double-deliver.
+// Chaos: sever backend connections mid-stream and let the resync replay
+// regenerate the tail — the digest must not change. Two seams, each in its
+// own run: frame receipt (cluster.backend.recv) and backend enqueue
+// (cluster.backend.send). Resync duplicates must dedupe in the merge buffer,
+// never double-deliver.
 TEST(ClusterRouterTest, BackendLossResyncsWithoutDivergence) {
   if (!failpoint::kEnabled) {
     GTEST_SKIP() << "failpoints compiled out; build with -DAPCM_FAILPOINTS=ON";
@@ -402,31 +404,33 @@ TEST(ClusterRouterTest, BackendLossResyncsWithoutDivergence) {
   }
   ASSERT_FALSE(oracle.empty());
 
-  ClusterHarness cluster;
-  ASSERT_TRUE(cluster.StartCluster(3).ok());
-  Digest got;
-  RunScenario(cluster.router().port(), expressions, batches, &got,
-              [&](size_t batch) {
-                if (batch == 1) {
-                  // The next two backend reads doom their connections; the
-                  // router reconnects, re-registers, and replays.
-                  ASSERT_TRUE(failpoint::Configure("cluster.backend.recv",
-                                                   "2*return")
-                                  .ok());
-                }
-              });
-  failpoint::DisarmAll();
-  EXPECT_EQ(got, oracle);
-  EXPECT_GE(failpoint::Hits("cluster.backend.recv"), 2u);
+  for (const char* point : {"cluster.backend.recv", "cluster.backend.send"}) {
+    SCOPED_TRACE(point);
+    ClusterHarness cluster;
+    ASSERT_TRUE(cluster.StartCluster(3).ok());
+    Digest got;
+    RunScenario(cluster.router().port(), expressions, batches, &got,
+                [&](size_t batch) {
+                  if (batch == 1) {
+                    // The next two backend frames received (or enqueued)
+                    // doom their connections; the router reconnects,
+                    // re-registers, and replays.
+                    ASSERT_TRUE(failpoint::Configure(point, "2*return").ok());
+                  }
+                });
+    failpoint::DisarmAll();
+    EXPECT_EQ(got, oracle);
+    EXPECT_GE(failpoint::Hits(point), 2u);
 
-  const MetricsRegistry& registry = cluster.router().metrics_registry();
-  EXPECT_GE(CounterValue(registry, "apcm_cluster_backend_reconnects_total"),
-            2u);
-  uint64_t reconnects = 0;
-  for (const auto& backend : cluster.router().Snapshot().backends) {
-    reconnects += backend.reconnects;
+    const MetricsRegistry& registry = cluster.router().metrics_registry();
+    EXPECT_GE(CounterValue(registry, "apcm_cluster_backend_reconnects_total"),
+              2u);
+    uint64_t reconnects = 0;
+    for (const auto& backend : cluster.router().Snapshot().backends) {
+      reconnects += backend.reconnects;
+    }
+    EXPECT_GE(reconnects, 2u);
   }
-  EXPECT_GE(reconnects, 2u);
 }
 
 /// Connects a raw TCP socket and performs one HTTP/1.0 GET.
@@ -512,6 +516,10 @@ TEST(ClusterRouterTest, TopologyGuardRails) {
     ClusterRouter router(options);
     Status started = router.Start();
     EXPECT_FALSE(started.ok());
+    // The reactor is up before backends dial, yet a failed Start publishes
+    // no port and never serves a client.
+    EXPECT_EQ(router.port(), 0);
+    EXPECT_EQ(router.Snapshot().clients, 0u);
   }
 
   // Config validation before any connect.

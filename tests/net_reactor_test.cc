@@ -1,9 +1,10 @@
 // Differential oracle and edge-trigger corner suite for the epoll reactor
-// front-end (src/net/reactor.h, DESIGN.md §3.14). The reactor is validated
-// against the pre-reactor single-thread poll() loop (`io_threads = 0`), which
-// this suite keeps alive as the behavioural baseline: the same workload must
-// produce identical per-subscriber MATCH digests and identical ACK/ERROR
-// status sequences whichever front-end serves it, at every thread count.
+// front-end (src/net/reactor.h, DESIGN.md §3.14). Ground truth is a direct
+// StreamEngine fed the same expression texts and events
+// (tests/net_oracle_util.h): at every I/O thread count the server must
+// deliver exactly the oracle's per-subscriber match sets, ACK the publishes
+// with the oracle's dense event ids, and answer the control probes with the
+// expected ACK/ERROR sequence.
 //
 // The failpoint scenarios (spurious wakeups, phantom readability forcing the
 // EAGAIN-after-readable path, torn gathered writes) GTEST_SKIP() at runtime
@@ -16,15 +17,16 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/base/failpoint.h"
 #include "src/base/metrics.h"
-#include "src/base/rng.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "tests/net_oracle_util.h"
 
 namespace apcm {
 namespace {
@@ -51,66 +53,6 @@ int64_t GaugeValue(const MetricsRegistry& registry, const std::string& name) {
   return 0;
 }
 
-/// FNV-1a over a match-set map (publish index -> ascending client sub ids);
-/// depends only on logical content, never on delivery interleaving.
-uint64_t HashMatchSets(const std::map<uint64_t, std::vector<uint64_t>>& sets) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const auto& [key, subs] : sets) {
-    mix(key);
-    mix(subs.size());
-    for (uint64_t s : subs) mix(s);
-  }
-  return h;
-}
-
-/// Deterministic workload: random boolean expressions (the net_server_test
-/// generator shape) and random events over attributes a0..a7.
-struct Workload {
-  std::vector<std::string> expressions;
-  std::vector<Event> events;
-};
-
-Workload MakeWorkload(uint64_t seed, int subs, int num_events) {
-  Rng rng(seed);
-  auto make_conjunction = [&rng]() {
-    static const char* kOps[] = {">=", "<=", ">", "<", "=", "!="};
-    std::string text;
-    std::set<uint64_t> used;
-    const int preds = 1 + static_cast<int>(rng.Uniform(3));
-    for (int p = 0; p < preds; ++p) {
-      uint64_t attr = rng.Uniform(8);
-      if (!used.insert(attr).second) continue;
-      if (!text.empty()) text += " and ";
-      text += "a" + std::to_string(attr) + " " + kOps[rng.Uniform(6)] + " " +
-              std::to_string(rng.Uniform(100));
-    }
-    return text;
-  };
-  Workload w;
-  for (int i = 0; i < subs; ++i) {
-    std::string text = make_conjunction();
-    if (rng.Bernoulli(0.3)) text += " or " + make_conjunction();
-    w.expressions.push_back(std::move(text));
-  }
-  for (int i = 0; i < num_events; ++i) {
-    std::vector<Event::Entry> entries;
-    uint64_t attr = rng.Uniform(3);
-    while (attr < 8) {
-      entries.push_back({static_cast<AttributeId>(attr),
-                         static_cast<int64_t>(rng.Uniform(100))});
-      attr += 1 + rng.Uniform(4);
-    }
-    w.events.push_back(Event::FromSorted(std::move(entries)));
-  }
-  return w;
-}
-
 EventServerOptions ServerOptions(int io_threads, bool reuseport = true) {
   EventServerOptions options;
   options.engine.batch_size = 16;
@@ -122,12 +64,14 @@ EventServerOptions ServerOptions(int io_threads, bool reuseport = true) {
   return options;
 }
 
-/// Everything observable from one front-end run of a workload; differential
-/// equality of two RunResults is the oracle assertion.
+/// One subscriber's delivered stream: publish index -> ascending client sub
+/// ids matched.
+using MatchRows = std::map<uint64_t, std::vector<uint64_t>>;
+
+/// Everything observable from one server run of a workload.
 struct RunResult {
-  /// One digest per subscriber client: publish index -> its matched client
-  /// sub ids.
-  std::vector<uint64_t> subscriber_digests;
+  /// Per subscriber client, its delivered match rows.
+  std::vector<MatchRows> subscriber_rows;
   /// Server-assigned event id per ACKed publish, in publish order.
   std::vector<uint64_t> publish_acks;
   /// StatusCode of every control operation (subscribes, the deliberate
@@ -138,13 +82,13 @@ struct RunResult {
   bool ok = false;
 };
 
-/// Runs `workload` through a server with the given I/O front-end.
+/// Runs `workload` through a server with `io_threads` I/O threads.
 /// Expressions are dealt round-robin to `num_subscribers` subscriber
 /// connections (expression i -> subscriber i % num_subscribers, client sub
 /// id i), every event is published on a separate connection, and Stop()
 /// drains — so each subscriber's received stream is complete, not a
 /// timeout-bounded prefix.
-RunResult RunWorkload(int io_threads, const Workload& workload,
+RunResult RunWorkload(int io_threads, const NetWorkload& workload,
                       int num_subscribers) {
   RunResult result;
   EventServer server(ServerOptions(io_threads));
@@ -167,8 +111,8 @@ RunResult RunWorkload(int io_threads, const Workload& workload,
     Client& owner = *subscribers[i % num_subscribers];
     record(owner.Subscribe(i, workload.expressions[i]));
   }
-  // Deliberate ERROR probes, identical in every mode: a duplicate sub id, an
-  // unparsable expression, an unsubscribe of an id never registered.
+  // Deliberate ERROR probes: a duplicate sub id, an unparsable expression,
+  // an unsubscribe of an id never registered.
   for (int s = 0; s < num_subscribers; ++s) {
     Client& owner = *subscribers[static_cast<size_t>(s)];
     record(owner.Subscribe(static_cast<uint64_t>(s), "a0 >= 0"));
@@ -197,7 +141,7 @@ RunResult RunWorkload(int io_threads, const Workload& workload,
     publish_index[result.publish_acks[k]] = k;
   }
   for (auto& subscriber : subscribers) {
-    std::map<uint64_t, std::vector<uint64_t>> rows;
+    MatchRows rows;
     for (;;) {
       auto match = subscriber->PollMatch(/*timeout_ms=*/2000);
       if (!match.ok() || !match->has_value()) break;
@@ -210,47 +154,83 @@ RunResult RunWorkload(int io_threads, const Workload& workload,
                  (*match)->sub_ids.end());
     }
     for (auto& [index, row] : rows) std::sort(row.begin(), row.end());
-    result.subscriber_digests.push_back(HashMatchSets(rows));
+    result.subscriber_rows.push_back(std::move(rows));
   }
   result.ok = true;
   return result;
 }
 
-void ExpectSameRun(const RunResult& baseline, const RunResult& candidate,
-                   const std::string& what) {
-  ASSERT_TRUE(baseline.ok);
-  ASSERT_TRUE(candidate.ok) << what;
-  EXPECT_EQ(candidate.subscriber_digests, baseline.subscriber_digests)
-      << what << ": per-subscriber MATCH digests diverged";
-  EXPECT_EQ(candidate.publish_acks, baseline.publish_acks)
-      << what << ": publish ACK sequence diverged";
-  EXPECT_EQ(candidate.control_codes, baseline.control_codes)
+/// The oracle's view of a RunWorkload run: the direct engine's match sets
+/// split per subscriber, its event ids, and the probes' expected codes.
+struct ExpectedRun {
+  std::vector<MatchRows> subscriber_rows;
+  std::vector<uint64_t> publish_acks;
+  std::vector<int> control_codes;
+};
+
+ExpectedRun OracleRun(const NetWorkload& workload, int num_subscribers) {
+  const DirectEngineResult direct =
+      RunDirectEngine(ServerOptions(/*io_threads=*/1).engine, workload);
+  ExpectedRun want;
+  want.subscriber_rows.resize(static_cast<size_t>(num_subscribers));
+  for (const auto& [k, indices] : direct.matches) {
+    for (uint64_t i : indices) {
+      want.subscriber_rows[i % static_cast<uint64_t>(num_subscribers)][k]
+          .push_back(i);
+    }
+  }
+  want.publish_acks = direct.event_ids;
+  // Every expression subscribes cleanly; then, per subscriber, the three
+  // probes fail with their specific codes.
+  want.control_codes.assign(workload.expressions.size(),
+                            static_cast<int>(StatusCode::kOk));
+  for (int s = 0; s < num_subscribers; ++s) {
+    want.control_codes.push_back(static_cast<int>(StatusCode::kAlreadyExists));
+    want.control_codes.push_back(
+        static_cast<int>(StatusCode::kInvalidArgument));
+    want.control_codes.push_back(static_cast<int>(StatusCode::kNotFound));
+  }
+  return want;
+}
+
+void ExpectMatchesOracle(const ExpectedRun& want, const RunResult& got,
+                         const std::string& what) {
+  ASSERT_TRUE(got.ok) << what;
+  EXPECT_EQ(got.subscriber_rows, want.subscriber_rows)
+      << what << ": per-subscriber MATCH streams diverged from the oracle";
+  // Event ids are dense from 0 in publish order, on the wire and in the
+  // direct engine alike.
+  std::vector<uint64_t> dense(want.publish_acks.size());
+  std::iota(dense.begin(), dense.end(), uint64_t{0});
+  EXPECT_EQ(want.publish_acks, dense) << "oracle event ids are not dense";
+  EXPECT_EQ(got.publish_acks, dense)
+      << what << ": publish ACKs are not the dense ids 0..n-1";
+  EXPECT_EQ(got.control_codes, want.control_codes)
       << what << ": ACK/ERROR status sequence diverged";
 }
 
 // ---------------------------------------------------------------------------
-// The differential oracle: the legacy poll loop (io_threads = 0) is ground
-// truth; the reactor at 1, 2, and 4 I/O threads must be indistinguishable.
+// The differential oracle: the direct engine is ground truth; the reactor at
+// 1, 2, and 4 I/O threads must deliver exactly what it computes.
 // ---------------------------------------------------------------------------
 
 TEST(NetReactorTest, DifferentialOracleAcrossIoThreadModes) {
-  const Workload workload =
-      MakeWorkload(/*seed=*/2026, /*subs=*/24, /*num_events=*/120);
-  const RunResult baseline = RunWorkload(/*io_threads=*/0, workload,
-                                         /*num_subscribers=*/3);
-  ASSERT_TRUE(baseline.ok);
-  // The probes must actually have produced a mixed ACK/ERROR sequence —
-  // an all-kOk run would make the equality below vacuous.
-  EXPECT_TRUE(std::any_of(baseline.control_codes.begin(),
-                          baseline.control_codes.end(),
-                          [](int code) { return code != 0; }));
+  const NetWorkload workload =
+      MakeNetWorkload(/*seed=*/2026, /*num_subs=*/24, /*num_events=*/120);
+  const ExpectedRun want = OracleRun(workload, /*num_subscribers=*/3);
+  // A workload that matches nothing would make the stream equality vacuous.
+  size_t expected_rows = 0;
+  for (const MatchRows& rows : want.subscriber_rows) {
+    expected_rows += rows.size();
+  }
+  EXPECT_GT(expected_rows, 0u);
 
   for (int io_threads : {1, 2, 4}) {
     SCOPED_TRACE("io_threads=" + std::to_string(io_threads));
     const RunResult run = RunWorkload(io_threads, workload,
                                       /*num_subscribers=*/3);
-    ExpectSameRun(baseline, run,
-                  "reactor io_threads=" + std::to_string(io_threads));
+    ExpectMatchesOracle(want, run,
+                        "reactor io_threads=" + std::to_string(io_threads));
   }
 }
 
@@ -324,13 +304,6 @@ TEST(NetReactorTest, SingleAcceptorFallbackDealsConnectionsRoundRobin) {
   server.Stop();
 }
 
-TEST(NetReactorTest, LegacyModeReportsNoReuseport) {
-  EventServer server(ServerOptions(/*io_threads=*/0));
-  ASSERT_TRUE(server.Start().ok());
-  EXPECT_FALSE(server.reuseport_active());
-  server.Stop();
-}
-
 TEST(NetReactorTest, RestartOnFreshPortServesTraffic) {
   EventServer first(ServerOptions(/*io_threads=*/2));
   ASSERT_TRUE(first.Start().ok());
@@ -347,7 +320,8 @@ TEST(NetReactorTest, RestartOnFreshPortServesTraffic) {
 }
 
 TEST(NetReactorTest, ValidateOptionsRejectsBadConfigs) {
-  EXPECT_TRUE(ValidateEventServerOptions(ServerOptions(0)).ok());
+  EXPECT_EQ(ValidateEventServerOptions(ServerOptions(0)).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_TRUE(ValidateEventServerOptions(ServerOptions(1)).ok());
   EXPECT_TRUE(ValidateEventServerOptions(ServerOptions(64)).ok());
   EXPECT_EQ(ValidateEventServerOptions(ServerOptions(-1)).code(),
@@ -369,7 +343,7 @@ TEST(NetReactorTest, ValidateOptionsRejectsBadConfigs) {
 // Edge-trigger corner coverage via armed failpoints. Each scenario perturbs
 // the reactor's readiness bookkeeping (the exact seams where an
 // edge-triggered loop loses frames if its level flags are wrong) and then
-// demands byte-for-byte agreement with the unperturbed baseline.
+// demands exact agreement with the direct-engine oracle.
 // ---------------------------------------------------------------------------
 
 class NetReactorFailpointTest : public ::testing::Test {
@@ -384,17 +358,16 @@ class NetReactorFailpointTest : public ::testing::Test {
 };
 
 TEST_F(NetReactorFailpointTest, SpuriousWakeupsDoNotPerturbStreams) {
-  const Workload workload =
-      MakeWorkload(/*seed=*/404, /*subs=*/12, /*num_events=*/60);
-  const RunResult baseline = RunWorkload(/*io_threads=*/0, workload,
-                                         /*num_subscribers=*/2);
+  const NetWorkload workload =
+      MakeNetWorkload(/*seed=*/404, /*num_subs=*/12, /*num_events=*/60);
+  const ExpectedRun want = OracleRun(workload, /*num_subscribers=*/2);
 
   const uint64_t hits0 = failpoint::Hits("net.reactor.wakeup");
   ASSERT_TRUE(failpoint::Configure("net.reactor.wakeup", "25%return@97").ok());
   const RunResult run = RunWorkload(/*io_threads=*/2, workload,
                                     /*num_subscribers=*/2);
   EXPECT_GT(failpoint::Hits("net.reactor.wakeup"), hits0);
-  ExpectSameRun(baseline, run, "spurious wakeups");
+  ExpectMatchesOracle(want, run, "spurious wakeups");
 }
 
 TEST_F(NetReactorFailpointTest, EagainAfterReadableLeavesNoFrameBehind) {
@@ -402,10 +375,9 @@ TEST_F(NetReactorFailpointTest, EagainAfterReadableLeavesNoFrameBehind) {
   // behind it: recv must meet EAGAIN, set the level flag back down, and
   // *still* pick up real bytes that arrive afterwards (the classic
   // edge-trigger lost-wakeup bug this flag discipline exists to prevent).
-  const Workload workload =
-      MakeWorkload(/*seed=*/405, /*subs=*/12, /*num_events=*/60);
-  const RunResult baseline = RunWorkload(/*io_threads=*/0, workload,
-                                         /*num_subscribers=*/2);
+  const NetWorkload workload =
+      MakeNetWorkload(/*seed=*/405, /*num_subs=*/12, /*num_events=*/60);
+  const ExpectedRun want = OracleRun(workload, /*num_subscribers=*/2);
 
   const uint64_t hits0 = failpoint::Hits("net.reactor.readable");
   ASSERT_TRUE(
@@ -413,17 +385,16 @@ TEST_F(NetReactorFailpointTest, EagainAfterReadableLeavesNoFrameBehind) {
   const RunResult run = RunWorkload(/*io_threads=*/2, workload,
                                     /*num_subscribers=*/2);
   EXPECT_GT(failpoint::Hits("net.reactor.readable"), hits0);
-  ExpectSameRun(baseline, run, "EAGAIN after readable");
+  ExpectMatchesOracle(want, run, "EAGAIN after readable");
 }
 
 TEST_F(NetReactorFailpointTest, ShortWritevMidFrameReplaysTheTail) {
   // Torn gathered writes: the writev byte count is clamped so MATCH frames
   // are split mid-frame across syscalls; the outbox must replay the tail in
   // order, never duplicating or dropping a byte.
-  const Workload workload =
-      MakeWorkload(/*seed=*/406, /*subs=*/12, /*num_events=*/60);
-  const RunResult baseline = RunWorkload(/*io_threads=*/0, workload,
-                                         /*num_subscribers=*/2);
+  const NetWorkload workload =
+      MakeNetWorkload(/*seed=*/406, /*num_subs=*/12, /*num_events=*/60);
+  const ExpectedRun want = OracleRun(workload, /*num_subscribers=*/2);
 
   const uint64_t hits0 = failpoint::Hits("net.reactor.writev.short");
   ASSERT_TRUE(
@@ -432,7 +403,7 @@ TEST_F(NetReactorFailpointTest, ShortWritevMidFrameReplaysTheTail) {
   const RunResult run = RunWorkload(/*io_threads=*/2, workload,
                                     /*num_subscribers=*/2);
   EXPECT_GT(failpoint::Hits("net.reactor.writev.short"), hits0);
-  ExpectSameRun(baseline, run, "short writev mid-frame");
+  ExpectMatchesOracle(want, run, "short writev mid-frame");
 }
 
 TEST_F(NetReactorFailpointTest, AcceptFailureStallsOnlyNewConnections) {

@@ -23,11 +23,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/base/rng.h"
-#include "src/be/catalog.h"
-#include "src/be/parser.h"
-#include "src/be/string_dictionary.h"
 #include "src/net/client.h"
+#include "tests/net_oracle_util.h"
 
 namespace apcm::net {
 namespace {
@@ -35,7 +32,6 @@ namespace {
 using engine::BackpressurePolicy;
 using engine::EngineOptions;
 using engine::MatcherKind;
-using engine::StreamEngine;
 
 uint64_t CounterValue(const MetricsRegistry& registry,
                       const std::string& name) {
@@ -226,74 +222,15 @@ TEST(NetServerTest, MetricsAreRegisteredAndCount) {
 TEST(NetServerTest, DifferentialOracleAgainstDirectEngine) {
   constexpr int kSubs = 40;
   constexpr int kEvents = 200;
-  Rng rng(42);
-
-  // Random expressions: 1-3 distinct-attribute comparisons joined by "and",
-  // with a second disjunct on some subscriptions.
-  auto make_conjunction = [&rng]() {
-    static const char* kOps[] = {">=", "<=", ">", "<", "=", "!="};
-    std::string text;
-    std::set<uint64_t> used;
-    const int preds = 1 + static_cast<int>(rng.Uniform(3));
-    for (int p = 0; p < preds; ++p) {
-      uint64_t attr = rng.Uniform(8);
-      if (!used.insert(attr).second) continue;
-      if (!text.empty()) text += " and ";
-      text += "a" + std::to_string(attr) + " " + kOps[rng.Uniform(6)] + " " +
-              std::to_string(rng.Uniform(100));
-    }
-    return text;
-  };
-  std::vector<std::string> expressions;
-  for (int i = 0; i < kSubs; ++i) {
-    std::string text = make_conjunction();
-    if (rng.Bernoulli(0.3)) text += " or " + make_conjunction();
-    expressions.push_back(std::move(text));
-  }
-  std::vector<Event> events;
-  for (int i = 0; i < kEvents; ++i) {
-    std::vector<Event::Entry> entries;
-    uint64_t attr = rng.Uniform(3);
-    while (attr < 8) {
-      entries.push_back({static_cast<AttributeId>(attr),
-                         static_cast<int64_t>(rng.Uniform(100))});
-      attr += 1 + rng.Uniform(4);
-    }
-    events.push_back(Event::FromSorted(std::move(entries)));
-  }
+  const NetWorkload workload =
+      MakeNetWorkload(/*seed=*/42, /*num_subs=*/kSubs, /*num_events=*/kEvents);
+  const std::vector<std::string>& expressions = workload.expressions;
+  const std::vector<Event>& events = workload.events;
 
   // Oracle: parse and register the same texts in the same order directly.
-  Catalog catalog;
-  StringDictionary strings;
-  Parser parser(&catalog, &strings);
-  std::map<uint64_t, std::vector<uint64_t>> oracle;  // event id -> sub index
-  std::map<SubscriptionId, uint64_t> oracle_sub_index;
-  std::mutex oracle_mu;
-  StreamEngine oracle_engine(
-      SmallServerOptions().engine,
-      [&](uint64_t event_id, const std::vector<SubscriptionId>& matches) {
-        std::lock_guard<std::mutex> lock(oracle_mu);
-        if (matches.empty()) return;
-        std::vector<uint64_t>& row = oracle[event_id];
-        for (SubscriptionId id : matches) {
-          row.push_back(oracle_sub_index.at(id));
-        }
-      });
-  for (int i = 0; i < kSubs; ++i) {
-    auto disjuncts = parser.ParseDisjunction(expressions[i]);
-    ASSERT_TRUE(disjuncts.ok()) << expressions[i];
-    auto added =
-        disjuncts->size() == 1
-            ? oracle_engine.AddSubscription(std::move((*disjuncts)[0]))
-            : oracle_engine.AddDisjunctiveSubscription(std::move(*disjuncts));
-    ASSERT_TRUE(added.ok()) << expressions[i];
-    oracle_sub_index[*added] = static_cast<uint64_t>(i);
-  }
-  std::vector<uint64_t> oracle_event_ids;
-  for (const Event& event : events) {
-    oracle_event_ids.push_back(oracle_engine.Publish(event));
-  }
-  oracle_engine.Flush();
+  const DirectEngineResult oracle =
+      RunDirectEngine(SmallServerOptions().engine, workload);
+  ASSERT_EQ(oracle.event_ids.size(), events.size());
 
   // Remote: same texts via SUBSCRIBE (client id = registration index), same
   // events via PUBLISH.
@@ -318,7 +255,7 @@ TEST(NetServerTest, DifferentialOracleAgainstDirectEngine) {
   std::map<uint64_t, std::vector<uint64_t>> remote;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (remote.size() < oracle.size() &&
+  while (remote.size() < oracle.matches.size() &&
          std::chrono::steady_clock::now() < deadline) {
     auto match = subscriber.PollMatch(/*timeout_ms=*/100);
     ASSERT_TRUE(match.ok()) << match.status().ToString();
@@ -328,12 +265,11 @@ TEST(NetServerTest, DifferentialOracleAgainstDirectEngine) {
   }
 
   // Exact agreement, event by event (ids correlated by publish order).
-  ASSERT_EQ(remote.size(), oracle.size());
-  std::lock_guard<std::mutex> lock(oracle_mu);
+  ASSERT_EQ(remote.size(), oracle.matches.size());
   for (int k = 0; k < kEvents; ++k) {
-    auto oracle_it = oracle.find(oracle_event_ids[k]);
+    auto oracle_it = oracle.matches.find(static_cast<size_t>(k));
     auto remote_it = remote.find(remote_event_ids[k]);
-    if (oracle_it == oracle.end()) {
+    if (oracle_it == oracle.matches.end()) {
       EXPECT_TRUE(remote_it == remote.end()) << "event " << k;
       continue;
     }

@@ -1,83 +1,56 @@
-// F6 — multi-core scalability of A-PCM. The paper measured a multi-core
-// server; this host has a single CPU, so the sweep reports (a) the
-// deterministic work-model prediction calibrated against a real measured
-// single-thread run (DESIGN.md §4), and (b) real std::thread executions for
-// small thread counts to demonstrate the parallel code path is exercised.
+// F6 — multi-core scalability of A-PCM. The paper's "P": one index whose
+// clusters are matched in parallel, thread t owning clusters t, t+T, ...
+// (PcmOptions::num_threads). Sweeps 1, 2, 4, ... threads up to the host's
+// hardware concurrency and reports measured throughput and speedup over the
+// 1-thread run.
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
 #include "bench/bench_util.h"
 #include "src/base/string_util.h"
-#include "src/core/pcm.h"
-#include "src/sim/core_model.h"
 
 namespace apcm::bench {
 namespace {
 
-void Run() {
+void Run(BenchJsonWriter& json) {
   workload::WorkloadSpec spec = DefaultSpec();
   spec.num_subscriptions = FullScale() ? 1'000'000 : 100'000;
-  PrintBanner("F6", "A-PCM scalability vs cores", spec);
+  PrintBanner("F6", "A-PCM scalability vs threads", spec);
   const workload::Workload workload = workload::Generate(spec).value();
 
-  // Calibration run: real single-threaded compressed matching.
-  core::PcmOptions options;
-  options.mode = core::PcmMode::kCompressed;
-  core::PcmMatcher pcm(options);
-  const ThroughputResult one =
-      MeasureThroughput(pcm, workload, /*batch_size=*/256);
-  std::printf("measured 1-thread: %s events/s\n",
-              Rate(one.events_per_second).c_str());
-
-  sim::MultiCoreModel model;
-  model.SetProfile(sim::ProfileClusterWork(pcm, workload.events));
-  model.Calibrate(static_cast<double>(workload.events.size()) /
-                  one.events_per_second);
-
-  TablePrinter table({"threads", "modeled events/s", "modeled speedup",
-                      "real cluster-par", "real event-par"});
-  const auto sweep = model.Sweep({1, 2, 4, 8, 16, 32});
-  for (const sim::SpeedupPoint& point : sweep) {
-    std::string real_cluster = "-";
-    std::string real_event = "-";
-    if (point.threads <= 4) {
-      for (const auto parallelism :
-           {core::ParallelismMode::kClusterParallel,
-            core::ParallelismMode::kEventParallel}) {
-        core::PcmOptions real_options;
-        real_options.mode = core::PcmMode::kCompressed;
-        real_options.num_threads = point.threads;
-        real_options.parallelism = parallelism;
-        core::PcmMatcher real_pcm(real_options);
-        const ThroughputResult result =
-            MeasureThroughput(real_pcm, workload, 256);
-        (parallelism == core::ParallelismMode::kClusterParallel
-             ? real_cluster
-             : real_event) = Rate(result.events_per_second);
-      }
-    }
-    const double rate =
-        static_cast<double>(workload.events.size()) / point.seconds;
-    table.AddRow({std::to_string(point.threads), Rate(rate),
-                  Fixed(point.speedup, 2) + "x", real_cluster, real_event});
+  const int max_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  TablePrinter table({"threads", "events/s", "speedup", "build(s)"});
+  double one_thread = 0;
+  for (int threads = 1; threads <= max_threads; threads *= 2) {
+    const Contender contender{engine::MatcherKind::kAPcm,
+                              StringPrintf("a-pcm/threads=%d", threads),
+                              threads};
+    auto matcher = MakeContender(contender, spec);
+    const ThroughputResult result =
+        MeasureThroughput(*matcher, workload, /*batch_size=*/256);
+    json.AddThroughput("bench_threads", contender.label, result);
+    if (threads == 1) one_thread = result.events_per_second;
+    table.AddRow({std::to_string(threads), Rate(result.events_per_second),
+                  Fixed(result.events_per_second / one_thread, 2) + "x",
+                  Fixed(result.build_seconds, 2)});
   }
   std::printf("\n");
   table.Print();
   std::printf(
-      "\nnote: host has %u hardware thread(s); real columns cannot show "
-      "physical speedup here. The model replays the implementation's "
-      "cluster partitioning, merge volume and barrier, calibrated on the "
-      "measured 1-thread run.\n"
-      "paper shape: near-linear scaling to the low tens of cores, flattening "
-      "with cluster-work imbalance.\n",
+      "\nhost: %u hardware thread(s). paper shape: near-linear scaling to the "
+      "low tens of cores, flattening with cluster-work imbalance.\n",
       std::thread::hardware_concurrency());
 }
 
 }  // namespace
 }  // namespace apcm::bench
 
-int main() {
-  apcm::bench::Run();
-  return 0;
+int main(int argc, char** argv) {
+  apcm::bench::BenchJsonWriter json =
+      apcm::bench::BenchJsonWriter::FromArgs(argc, argv);
+  apcm::bench::Run(json);
+  return json.Finish() ? 0 : 1;
 }

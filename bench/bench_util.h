@@ -85,8 +85,8 @@ struct Contender {
   int threads = 1;  ///< PCM kinds only
 };
 
-/// Baselines + contributions at 1 thread (the honest lineup for this
-/// single-CPU host; N-core numbers come from bench_threads' work model).
+/// Baselines + contributions at 1 thread (multi-threaded A-PCM rows come
+/// from bench_threads and bench_headline's a-pcm/threads=N rows).
 std::vector<Contender> DefaultContenders();
 
 /// Instantiates a contender for the given workload spec.

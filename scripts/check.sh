@@ -38,6 +38,21 @@ if command -v ninja > /dev/null 2>&1; then
   GENERATOR=(-G Ninja)
 fi
 
+# Runs a gtest binary under TSan and fails unless it ran at least one test:
+# a --gtest_filter that matches nothing exits 0, which would turn the step
+# into a silent no-op.
+run_tsan_gtest() {
+  local log
+  log="$(mktemp)"
+  TSAN_OPTIONS="halt_on_error=1" "$@" | tee "${log}"
+  if ! grep -Eq '^\[  PASSED  \] [1-9][0-9]* tests?\.' "${log}"; then
+    echo "no tests ran: $*" >&2
+    rm -f "${log}"
+    return 1
+  fi
+  rm -f "${log}"
+}
+
 run_tsan() {
   local build_dir=build-tsan
   cmake -B "${build_dir}" "${GENERATOR[@]}" \
@@ -45,7 +60,7 @@ run_tsan() {
     -DAPCM_BUILD_BENCHMARKS=OFF \
     -DAPCM_BUILD_EXAMPLES=OFF
   cmake --build "${build_dir}" --target \
-    engine_concurrent_test thread_pool_test metrics_test \
+    engine_concurrent_test thread_pool_test metrics_test pcm_test \
     matcher_agreement_test net_server_test net_reactor_test event_trace_test \
     cluster_router_test
   local repeat="${APCM_TSAN_REPEAT:-50}"
@@ -58,12 +73,14 @@ run_tsan() {
   TSAN_OPTIONS="halt_on_error=1" \
     "./${build_dir}/tests/metrics_test" \
     --gtest_repeat="${repeat}" --gtest_brief=1
-  # Sharded fan-out/merge under TSan: the agreement suite drives the
-  # ShardedMatcher (num_shards up to 16, 2 fan-out threads) through the scan
-  # oracle. One pass of the full differential set is plenty under TSan.
-  TSAN_OPTIONS="halt_on_error=1" \
-    "./${build_dir}/tests/matcher_agreement_test" \
-    --gtest_filter='*Sharded*' --gtest_repeat=2 --gtest_brief=1
+  # Cluster-parallel matching under TSan: the PCM suite's multi-threaded
+  # configurations and the agreement suite's threaded matcher and engine
+  # oracles (2 and 4 worker threads) against SCAN. Two passes of the
+  # differential set are plenty under TSan.
+  run_tsan_gtest "./${build_dir}/tests/pcm_test" \
+    --gtest_filter='*PcmRandomTest*' --gtest_repeat=2 --gtest_brief=1
+  run_tsan_gtest "./${build_dir}/tests/matcher_agreement_test" \
+    --gtest_filter='*Threaded*' --gtest_repeat=2 --gtest_brief=1
   # The network stack end-to-end (I/O thread + pump thread + match-callback
   # fan-out + Stop drain) under TSan. The suite floods sockets, so a few
   # full passes give plenty of interleavings.

@@ -36,7 +36,8 @@ void ThreadPool::WorkerLoop() {
       ++in_flight_;
     }
     // Chaos seam: delay/yield here perturbs which worker runs which task
-    // (rebuild vs. shard-build ordering) without changing task contents.
+    // (rebuilds, checkpoints, matching stripes) without changing task
+    // contents.
     APCM_FAILPOINT("threadpool.dispatch");
     task();
     {

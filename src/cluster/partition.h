@@ -8,9 +8,8 @@ namespace apcm::cluster {
 
 /// Consistent-hash layout of the cluster tier (DESIGN.md §3.13): a fixed
 /// ring of `num_partitions` virtual partitions, each owned by one backend
-/// slot. A subscription's partition is the same splitmix64 id-hash the
-/// in-process `index::ShardedMatcher` uses (`ShardOf(id) % P`), lifted one
-/// level: the hash never changes, only the partition -> slot ownership table
+/// slot. A subscription's partition is a splitmix64 hash of its id modulo
+/// P: the hash never changes, only the partition -> slot ownership table
 /// does, so adding or removing a backend moves whole partitions (about P/N
 /// of them) instead of rehashing every subscription.
 ///
@@ -34,8 +33,7 @@ class PartitionMap {
   PartitionMap(uint32_t num_partitions, uint32_t num_backends);
 
   /// The owning partition of subscription `id`: splitmix64(id) % P. Stable
-  /// across topology changes and processes (same mix as
-  /// index::ShardedMatcher::ShardOf).
+  /// across topology changes and processes.
   static uint32_t PartitionOf(uint64_t id, uint32_t num_partitions);
 
   uint32_t num_partitions() const {

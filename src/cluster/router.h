@@ -104,7 +104,7 @@ struct ClusterStatus {
 /// both sides:
 ///
 ///   - SUBSCRIBE: the router assigns a global subscription id, maps it to a
-///     partition (PartitionMap — the ShardedMatcher hash one level up), and
+///     partition (PartitionMap: a stable splitmix64 id hash), and
 ///     registers it on the owning backend. The global id doubles as the
 ///     "client-chosen" sub id on the backend connection, so MATCH frames
 ///     come back self-describing.

@@ -46,16 +46,6 @@ struct alignas(kCacheLineSize) PcmMatcher::ThreadState {
   AdaptiveCounters counters;
 };
 
-const char* ParallelismModeName(ParallelismMode mode) {
-  switch (mode) {
-    case ParallelismMode::kClusterParallel:
-      return "cluster-parallel";
-    case ParallelismMode::kEventParallel:
-      return "event-parallel";
-  }
-  return "?";
-}
-
 PcmMatcher::PcmMatcher(PcmOptions options) : options_(std::move(options)) {
   APCM_CHECK(options_.num_threads >= 1);
 }
@@ -362,15 +352,14 @@ void PcmMatcher::MatchBatchImpl(
     for (size_t i = 0; i < num_events; ++i) state->per_event[i].clear();
   }
 
-  // Matches `cluster` against events [ebegin, eend) in `mode`, using ts's
-  // scratch and appending matches to ts.per_event. Shared by both
-  // parallelism partitionings.
+  // Matches `cluster` against every event of the batch in `mode`, using
+  // ts's scratch and appending matches to ts.per_event.
   auto eval_cluster = [&](const CompressedCluster& cluster, EvalMode mode,
-                          size_t ebegin, size_t eend, ThreadState& ts) {
+                          ThreadState& ts) {
     ts.cache_valid = false;
     const uint64_t words = cluster.words();
     uint64_t* result = ts.result.data();
-    for (size_t ei = ebegin; ei < eend; ++ei) {
+    for (size_t ei = 0; ei < num_events; ++ei) {
       const Event& event = events[ei];
       bool alive = false;
       if (mode == EvalMode::kCompressed) {
@@ -416,96 +405,66 @@ void PcmMatcher::MatchBatchImpl(
     return mode;
   };
 
-  if (options_.parallelism == ParallelismMode::kEventParallel &&
-      options_.num_threads > 1) {
-    // Event-parallel: modes are chosen up front (adaptive observations are
-    // not recorded — per-cluster timings interleave across threads); each
-    // thread walks every cluster over its event range. No cross-thread
-    // merge is needed per event, but the merge loop below is shared.
-    std::vector<EvalMode> modes(clusters_.size(), EvalMode::kCompressed);
-    {
-      Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL));
-      ThreadState& ts0 = *thread_states_[0];
-      for (size_t c = 0; c < clusters_.size(); ++c) {
-        modes[c] = choose_mode(c, rng);
-        if (modes[c] == EvalMode::kCompressed) {
-          ++ts0.counters.compressed_batches;
-        } else {
-          ++ts0.counters.lazy_batches;
-        }
-      }
-    }
-    pool_->ParallelFor(
-        num_events, [&](uint64_t ebegin, uint64_t eend, int thread) {
-          ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
-          for (size_t c = 0; c < clusters_.size(); ++c) {
-            eval_cluster(clusters_[c], modes[c], ebegin, eend, ts);
-          }
-        });
-  } else {
-    // Cluster-parallel with *strided* assignment: thread t owns clusters
-    // {t, t+T, t+2T, ...}. Pivot sorting makes heavy clusters (popular
-    // pivots, rarely pruned) adjacent; contiguous ranges would hand one
-    // thread most of the work, striding spreads it. Each stripe is one
-    // ParallelFor item so every cluster keeps exactly one owner per batch
-    // (the adaptive Record below relies on that).
-    const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
-    // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
-    // time and work counters to each cluster's profile. Off the sampled
-    // batches the only cost is this one bool.
-    const bool profile_batch =
-        profiles_ != nullptr && num_profiles_ == clusters_.size() &&
-        batch_counter_ % options_.hotspot_every == 0;
-    pool_->ParallelFor(
-        num_stripes, [&](uint64_t stripe_begin, uint64_t stripe_end,
-                         int thread) {
-          ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
-          Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
-                  static_cast<uint64_t>(thread));
-          for (uint64_t stripe = stripe_begin; stripe < stripe_end;
-               ++stripe) {
-            for (uint64_t c = stripe; c < clusters_.size();
-                 c += num_stripes) {
-              const EvalMode mode = choose_mode(c, rng);
-              if (mode == EvalMode::kCompressed) {
-                ++ts.counters.compressed_batches;
-              } else {
-                ++ts.counters.lazy_batches;
-              }
-              const uint64_t evals_before = ts.stats.predicate_evals;
-              const uint64_t cands_before = ts.stats.candidates_checked;
-              // The adaptive controller learns from measured wall time —
-              // the only cost signal that captures every real effect (cache
-              // misses, branch behavior) for both modes. Timer overhead is
-              // two clock reads per (cluster, batch), noise vs. the loop.
-              WallTimer cluster_timer;
-              eval_cluster(clusters_[c], mode, 0, num_events, ts);
-              const int64_t elapsed_ns = cluster_timer.ElapsedNanos();
-              if (options_.mode == PcmMode::kAdaptive) {
-                // Safe without synchronization: each cluster belongs to
-                // exactly one stripe of this ParallelFor.
-                adaptive_[c].Record(mode,
-                                    static_cast<double>(elapsed_ns) /
-                                        static_cast<double>(num_events));
-              }
-              if (profile_batch) {
-                // Relaxed is enough: the cluster's single owner this batch
-                // is the only writer; readers want counts, not ordering.
-                ClusterProfile& p = profiles_[c];
-                p.batches.fetch_add(1, std::memory_order_relaxed);
-                p.ns.fetch_add(static_cast<uint64_t>(elapsed_ns),
-                               std::memory_order_relaxed);
-                p.predicate_evals.fetch_add(
-                    ts.stats.predicate_evals - evals_before,
-                    std::memory_order_relaxed);
-                p.candidates_checked.fetch_add(
-                    ts.stats.candidates_checked - cands_before,
-                    std::memory_order_relaxed);
-              }
+  // Cluster-parallel with *strided* assignment: thread t owns clusters
+  // {t, t+T, t+2T, ...}. Pivot sorting makes heavy clusters (popular
+  // pivots, rarely pruned) adjacent; contiguous ranges would hand one
+  // thread most of the work, striding spreads it. Each stripe is one
+  // ParallelFor item so every cluster keeps exactly one owner per batch
+  // (the adaptive Record below relies on that).
+  const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
+  // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
+  // time and work counters to each cluster's profile. Off the sampled
+  // batches the only cost is this one bool.
+  const bool profile_batch =
+      profiles_ != nullptr && num_profiles_ == clusters_.size() &&
+      batch_counter_ % options_.hotspot_every == 0;
+  pool_->ParallelFor(
+      num_stripes, [&](uint64_t stripe_begin, uint64_t stripe_end,
+                       int thread) {
+        ThreadState& ts = *thread_states_[static_cast<size_t>(thread)];
+        Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
+                static_cast<uint64_t>(thread));
+        for (uint64_t stripe = stripe_begin; stripe < stripe_end; ++stripe) {
+          for (uint64_t c = stripe; c < clusters_.size(); c += num_stripes) {
+            const EvalMode mode = choose_mode(c, rng);
+            if (mode == EvalMode::kCompressed) {
+              ++ts.counters.compressed_batches;
+            } else {
+              ++ts.counters.lazy_batches;
+            }
+            const uint64_t evals_before = ts.stats.predicate_evals;
+            const uint64_t cands_before = ts.stats.candidates_checked;
+            // The adaptive controller learns from measured wall time —
+            // the only cost signal that captures every real effect (cache
+            // misses, branch behavior) for both modes. Timer overhead is
+            // two clock reads per (cluster, batch), noise vs. the loop.
+            WallTimer cluster_timer;
+            eval_cluster(clusters_[c], mode, ts);
+            const int64_t elapsed_ns = cluster_timer.ElapsedNanos();
+            if (options_.mode == PcmMode::kAdaptive) {
+              // Safe without synchronization: each cluster belongs to
+              // exactly one stripe of this ParallelFor.
+              adaptive_[c].Record(mode,
+                                  static_cast<double>(elapsed_ns) /
+                                      static_cast<double>(num_events));
+            }
+            if (profile_batch) {
+              // Relaxed is enough: the cluster's single owner this batch
+              // is the only writer; readers want counts, not ordering.
+              ClusterProfile& p = profiles_[c];
+              p.batches.fetch_add(1, std::memory_order_relaxed);
+              p.ns.fetch_add(static_cast<uint64_t>(elapsed_ns),
+                             std::memory_order_relaxed);
+              p.predicate_evals.fetch_add(
+                  ts.stats.predicate_evals - evals_before,
+                  std::memory_order_relaxed);
+              p.candidates_checked.fetch_add(
+                  ts.stats.candidates_checked - cands_before,
+                  std::memory_order_relaxed);
             }
           }
-        });
-  }
+        }
+      });
 
   // Incremental state is small; the caller thread handles it directly,
   // appending into worker 0's per-event lists.

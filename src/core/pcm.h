@@ -24,33 +24,12 @@ enum class PcmMode {
   kAdaptive,    ///< per-cluster adaptive choice ("A-PCM")
 };
 
-/// Which axis of the (cluster x event) work matrix is partitioned across
-/// threads.
-enum class ParallelismMode {
-  /// Each thread owns a contiguous range of clusters and streams the whole
-  /// batch through them. Best cache behavior (cluster state stays
-  /// thread-local); load balance depends on cluster work skew. The default
-  /// and the mode the multi-core model replays.
-  kClusterParallel,
-  /// Each thread owns a contiguous range of the batch's events and walks
-  /// all clusters. Perfect event-level load balance, no result merging
-  /// (each event's matches are produced by exactly one thread), but every
-  /// thread touches every cluster. Adaptive mode selection still applies,
-  /// but cost observations are not recorded in this mode (cluster timings
-  /// interleave across threads).
-  kEventParallel,
-};
-
-/// Printable name ("cluster-parallel" / "event-parallel").
-const char* ParallelismModeName(ParallelismMode mode);
-
 struct PcmOptions {
   ClusterBuilderOptions clustering;
   PcmMode mode = PcmMode::kAdaptive;
-  /// Worker threads for batch matching. 1 = fully sequential.
+  /// Worker threads for batch matching; each owns a stride of the clusters
+  /// and streams the whole batch through them. 1 = fully sequential.
   int num_threads = 1;
-  /// How work is split across threads (see ParallelismMode).
-  ParallelismMode parallelism = ParallelismMode::kClusterParallel;
   /// Reuse the absence phase (phase 1) across consecutive batch events with
   /// the same attribute signature — the algorithmic payoff of OSR.
   bool share_absence_phase = true;
@@ -63,10 +42,9 @@ struct PcmOptions {
   /// Seed of the (deterministic) exploration stream.
   uint64_t seed = 1;
   /// Hot-spot profiler: on 1 in this many batches, per-cluster wall time and
-  /// work counters are accumulated for CollectHotspots. Only the
-  /// cluster-parallel path records (each cluster has a single owning thread
-  /// per batch there, so the accumulators are uncontended). 0 disables
-  /// profiling entirely.
+  /// work counters are accumulated for CollectHotspots (each cluster has a
+  /// single owning thread per batch, so the accumulators are uncontended).
+  /// 0 disables profiling entirely.
   uint32_t hotspot_every = 16;
 };
 

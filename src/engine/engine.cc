@@ -32,7 +32,6 @@ EngineOptions NormalizeOptions(EngineOptions options) {
     LogError("invalid EngineOptions", {{"error", valid.ToString()}});
   }
   APCM_CHECK(valid.ok());
-  options.num_shards = std::max(1u, options.num_shards);
   // A window must fit in the buffer or it could never fill.
   options.buffer_capacity = std::max(
       {options.buffer_capacity, options.osr.window_size, options.batch_size});
@@ -47,14 +46,6 @@ EngineOptions NormalizeOptions(EngineOptions options) {
 Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be >= 1");
-  }
-  if (options.num_shards == 0 && options.shard_threads != 0) {
-    return Status::InvalidArgument(
-        "num_shards == 0 with shard_threads configured: sharding was "
-        "requested over zero shards");
-  }
-  if (options.shard_threads < 0) {
-    return Status::InvalidArgument("shard_threads must be >= 0");
   }
   if (!options.simd.empty() && options.simd != "auto") {
     auto level = bitmap::ParseSimdLevel(options.simd);
@@ -142,12 +133,6 @@ void StreamEngine::RegisterMetrics() {
   counter("apcm_compactions_total",
           "Delta-threshold-triggered snapshot compactions published.",
           stats_.compactions);
-  counter("apcm_shard_rebuilds_total",
-          "Individual shard (re)builds executed by snapshot builds.",
-          stats_.shard_rebuilds);
-  counter("apcm_shard_rebuilds_skipped_total",
-          "Clean shards carried into a new generation without re-indexing.",
-          stats_.shard_rebuilds_skipped);
   counter("apcm_publishes_blocked_total",
           "Publishes that hit a full queue and helped drain a round.",
           stats_.publishes_blocked);
@@ -182,9 +167,6 @@ void StreamEngine::RegisterMetrics() {
       "apcm_queue_depth", "Events buffered in the publish queue.",
       [this] { return static_cast<int64_t>(queue_.depth()); });
   metrics_.AddGaugeFn(
-      "apcm_shards", "Configured matcher shards (1 = unsharded).",
-      [this] { return static_cast<int64_t>(options_.num_shards); });
-  metrics_.AddGaugeFn(
       "apcm_simd_level",
       "Active bitmap kernel ISA (0 = scalar, 1 = AVX2, 2 = AVX-512).",
       [] { return static_cast<int64_t>(bitmap::ActiveSimdLevel()); });
@@ -206,12 +188,6 @@ void StreamEngine::RegisterMetrics() {
   histogram("apcm_rebuild_latency_ns",
             "Background snapshot build wall time, nanoseconds.",
             stats_.rebuild_latency_ns);
-  histogram("apcm_shard_batch_latency_ns",
-            "Wall time per (shard, dispatch) matcher call, nanoseconds.",
-            stats_.shard_batch_latency_ns);
-  histogram("apcm_shard_batch_matches",
-            "Matches emitted per (shard, dispatch).",
-            stats_.shard_batch_matches);
   // End-to-end event tracing: one labeled latency series per pipeline stage
   // plus the end-to-end "total". Registered even with tracing disabled so
   // the scrape schema is stable (the series just stay empty).
@@ -333,19 +309,9 @@ void StreamEngine::StartAdminServer() {
     return AdminResponse{200, "application/json", trace_.ToJson()};
   });
   admin_->Handle("/subscriptions", [this](std::string_view) {
-    const std::vector<size_t> shards = SubscriptionShardCounts();
-    size_t conjunctions = 0;
-    for (size_t count : shards) conjunctions += count;
-    std::string body = "{\"total\":" + std::to_string(num_subscriptions()) +
-                       ",\"conjunctions\":" + std::to_string(conjunctions) +
-                       ",\"num_shards\":" + std::to_string(shards.size()) +
-                       ",\"per_shard\":[";
-    for (size_t i = 0; i < shards.size(); ++i) {
-      if (i > 0) body += ',';
-      body += std::to_string(shards[i]);
-    }
-    body += "]}\n";
-    return AdminResponse{200, "application/json", std::move(body)};
+    return AdminResponse{
+        200, "application/json",
+        "{\"total\":" + std::to_string(num_subscriptions()) + "}\n"};
   });
   admin_->Handle("/healthz", [this](std::string_view) {
     return AdminResponse{
@@ -367,10 +333,10 @@ void StreamEngine::StartAdminServer() {
       if (!first) body += ',';
       first = false;
       body += StringPrintf(
-          "{\"shard\":%u,\"cluster\":%u,\"subscriptions\":%u,"
+          "{\"cluster\":%u,\"subscriptions\":%u,"
           "\"example_sub\":%llu,\"batches\":%llu,\"ns\":%llu,"
           "\"predicate_evals\":%llu,\"candidates_checked\":%llu}",
-          h.shard, h.cluster, h.subscriptions,
+          h.cluster, h.subscriptions,
           static_cast<unsigned long long>(h.example_sub),
           static_cast<unsigned long long>(h.batches),
           static_cast<unsigned long long>(h.ns),
@@ -766,64 +732,26 @@ Status StreamEngine::RunCheckpoint() {
   }
   // Optional index image, built off-lock over the captured copy (mutations
   // keep flowing into the new segment meanwhile). PCM-family matchers only
-  // — the image must be loadable by a matching config. Sharded engines
-  // write one image per shard (checkpoint index form 2): placement is the
-  // stable ShardOf hash, so recovery with the same shard count rehydrates
-  // every shard without a rebuild.
+  // — the image must be loadable by a matching config.
   if (options_.checkpoint_index) {
-    std::vector<BooleanExpression> exprs;  // outlives the matchers below
+    std::vector<BooleanExpression> exprs;  // outlives the matcher below
     exprs.reserve(state.subscriptions.size());
     for (const auto& [id, predicates] : state.subscriptions) {
       // Captured from built expressions, so already attribute-sorted.
       exprs.push_back(BooleanExpression::FromSorted(id, predicates));
     }
-    if (options_.num_shards <= 1) {
-      std::unique_ptr<Matcher> matcher =
-          CreateMatcher(options_.kind, options_.matcher);
-      if (auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get())) {
-        pcm->Build(exprs);
-        std::ostringstream image(std::ios::binary);
-        const Status saved = pcm->SaveIndex(image);
-        if (saved.ok()) {
-          state.index_kind = std::string(MatcherKindName(options_.kind));
-          state.index_image = std::move(image).str();
-        } else {
-          LogWarning("checkpoint index image skipped",
-                     {{"error", saved.ToString()}});
-        }
-      }
-    } else {
-      const uint32_t num_shards = options_.num_shards;
-      std::vector<std::vector<BooleanExpression>> per_shard(num_shards);
-      for (const BooleanExpression& sub : exprs) {
-        per_shard[index::ShardedMatcher::ShardOf(sub.id(), num_shards)]
-            .push_back(sub);
-      }
-      std::vector<std::string> images(num_shards);
-      bool complete = true;
-      for (uint32_t s = 0; s < num_shards && complete; ++s) {
-        std::unique_ptr<Matcher> matcher =
-            CreateMatcher(options_.kind, options_.matcher);
-        auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get());
-        if (pcm == nullptr) {
-          complete = false;  // non-PCM kind: no image, plain checkpoint
-          break;
-        }
-        pcm->Build(per_shard[s]);
-        std::ostringstream image(std::ios::binary);
-        const Status saved = pcm->SaveIndex(image);
-        if (!saved.ok()) {
-          LogWarning("checkpoint shard image skipped",
-                     {{"shard", s}, {"error", saved.ToString()}});
-          complete = false;
-          break;
-        }
-        images[s] = std::move(image).str();
-      }
-      // All-or-nothing: a partial shard set cannot be installed.
-      if (complete) {
+    std::unique_ptr<Matcher> matcher =
+        CreateMatcher(options_.kind, options_.matcher);
+    if (auto* pcm = dynamic_cast<core::PcmMatcher*>(matcher.get())) {
+      pcm->Build(exprs);
+      std::ostringstream image(std::ios::binary);
+      const Status saved = pcm->SaveIndex(image);
+      if (saved.ok()) {
         state.index_kind = std::string(MatcherKindName(options_.kind));
-        state.shard_images = std::move(images);
+        state.index_image = std::move(image).str();
+      } else {
+        LogWarning("checkpoint index image skipped",
+                   {{"error", saved.ToString()}});
       }
     }
   }
@@ -833,15 +761,10 @@ Status StreamEngine::RunCheckpoint() {
     checkpoint_inflight_ = false;
   }
   if (written.ok() && LogEnabled(LogLevel::kDebug)) {
-    size_t index_bytes = state.index_image.size();
-    for (const std::string& image : state.shard_images) {
-      index_bytes += image.size();
-    }
     LogDebug("checkpoint written",
              {{"wal_seq", state.wal_seq},
               {"live_subs", state.subscriptions.size()},
-              {"index_shards", state.shard_images.size()},
-              {"index_bytes", index_bytes}});
+              {"index_bytes", state.index_image.size()}});
   }
   return written;
 }
@@ -885,8 +808,7 @@ void StreamEngine::RecoverFromStore() {
     // 2. Pre-built index image: install it as the initial snapshot so the
     // first round skips the full rebuild. Replayed WAL records then catch
     // up through the regular delta path (their change seqs are > 0).
-    if (!ckpt.index_kind.empty() && options_.num_shards <= 1 &&
-        ckpt.shard_images.empty() &&
+    if (!ckpt.index_kind.empty() &&
         ckpt.index_kind == MatcherKindName(options_.kind)) {
       auto built =
           std::make_shared<std::vector<BooleanExpression>>(subscriptions_);
@@ -906,57 +828,6 @@ void StreamEngine::RecoverFromStore() {
           LogWarning("checkpoint index image rejected; will rebuild",
                      {{"error", loaded.ToString()}});
         }
-      }
-    }
-    // Sharded form (index form 2): rehydrate every shard's inner matcher
-    // from its image. Only valid for the same shard count — ShardOf
-    // placement is a pure function of (id, num_shards), so a count change
-    // would scatter subscriptions across different shards than the images
-    // were built for; any mismatch falls back to a full rebuild.
-    if (!ckpt.index_kind.empty() && options_.num_shards > 1 &&
-        ckpt.shard_images.size() == options_.num_shards &&
-        ckpt.index_kind == MatcherKindName(options_.kind)) {
-      const uint32_t num_shards = options_.num_shards;
-      std::unique_ptr<Matcher> matcher = CreateEngineMatcher();
-      auto* sharded = dynamic_cast<index::ShardedMatcher*>(matcher.get());
-      bool installed = sharded != nullptr;
-      if (installed) {
-        std::vector<std::vector<BooleanExpression>> per_shard(num_shards);
-        for (const BooleanExpression& sub : subscriptions_) {
-          per_shard[index::ShardedMatcher::ShardOf(sub.id(), num_shards)]
-              .push_back(sub);
-        }
-        for (uint32_t s = 0; s < num_shards && installed; ++s) {
-          std::unique_ptr<Matcher> inner =
-              CreateMatcher(options_.kind, options_.matcher);
-          auto* pcm = dynamic_cast<core::PcmMatcher*>(inner.get());
-          if (pcm == nullptr) {
-            installed = false;
-            break;
-          }
-          auto shard_subs =
-              std::make_shared<const std::vector<BooleanExpression>>(
-                  std::move(per_shard[s]));
-          std::istringstream image(ckpt.shard_images[s], std::ios::binary);
-          const Status loaded = pcm->LoadIndex(*shard_subs, image);
-          if (!loaded.ok()) {
-            LogWarning("checkpoint shard image rejected; will rebuild",
-                       {{"shard", s}, {"error", loaded.ToString()}});
-            installed = false;
-            break;
-          }
-          sharded->InstallShard(s, std::move(shard_subs), std::move(inner),
-                                /*applied_seq=*/0);
-        }
-      }
-      if (installed) {
-        auto snap = std::make_shared<EngineSnapshot>();
-        snap->built_subs = std::make_shared<std::vector<BooleanExpression>>(
-            subscriptions_);
-        snap->matcher = std::move(matcher);
-        snap->covered_seq = 0;
-        snap->applied_seq = 0;
-        snapshot_.Store(std::move(snap));
       }
     }
   }
@@ -1075,17 +946,6 @@ size_t StreamEngine::num_subscriptions() const {
   return subscriptions_.size() - tombstones_.size();
 }
 
-std::vector<size_t> StreamEngine::SubscriptionShardCounts() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  std::vector<size_t> counts(std::max(1u, options_.num_shards), 0);
-  for (const BooleanExpression& sub : subscriptions_) {
-    if (tombstones_.contains(sub.id())) continue;
-    ++counts[index::ShardedMatcher::ShardOf(
-        sub.id(), static_cast<uint32_t>(counts.size()))];
-  }
-  return counts;
-}
-
 const MatcherStats* StreamEngine::matcher_stats() const {
   std::shared_ptr<EngineSnapshot> snap = snapshot_.Load();
   return snap == nullptr ? nullptr : &snap->matcher->stats();
@@ -1195,37 +1055,8 @@ void StreamEngine::Flush() {
   }
 }
 
-std::unique_ptr<Matcher> StreamEngine::CreateEngineMatcher() {
-  if (options_.num_shards <= 1) {
-    return CreateMatcher(options_.kind, options_.matcher);
-  }
-  index::ShardedOptions sharded;
-  sharded.num_shards = options_.num_shards;
-  sharded.num_threads = options_.shard_threads;
-  // The sink histograms live in stats_, which outlives every snapshot
-  // build (rebuild_pool_ is declared after stats_ and drains first).
-  sharded.shard_latency_ns = &stats_.shard_batch_latency_ns;
-  sharded.shard_matches = &stats_.shard_batch_matches;
-  return CreateShardedMatcher(options_.kind, options_.matcher, sharded);
-}
-
 void StreamEngine::ScheduleRebuildLocked(bool compaction) {
   if (rebuild_inflight_) return;
-  if (options_.num_shards > 1) {
-    // With a published sharded generation, rebuild per-shard: only dirty
-    // shards are re-indexed. The first build (no snapshot yet) falls
-    // through to the full path below.
-    std::shared_ptr<EngineSnapshot> prev = snapshot_.Load();
-    auto* prev_sharded =
-        prev == nullptr
-            ? nullptr
-            : dynamic_cast<index::ShardedMatcher*>(prev->matcher.get());
-    if (prev_sharded != nullptr &&
-        prev_sharded->num_shards() == options_.num_shards) {
-      ScheduleShardRebuildLocked(std::move(prev), prev_sharded, compaction);
-      return;
-    }
-  }
   rebuild_inflight_ = true;
   // Copy the live subscription set now, under state_mu_: the build runs on
   // the maintenance worker against this immutable copy while writers keep
@@ -1251,112 +1082,10 @@ void StreamEngine::ScheduleRebuildLocked(bool compaction) {
             APCM_FAILPOINT("engine.rebuild.start");
             WallTimer timer;
             auto next = std::make_shared<EngineSnapshot>();
-            next->matcher = CreateEngineMatcher();
+            next->matcher = CreateMatcher(options_.kind, options_.matcher);
             APCM_CHECK(next->matcher != nullptr);
             next->matcher->Build(*built);
-            if (auto* sharded = dynamic_cast<index::ShardedMatcher*>(
-                    next->matcher.get())) {
-              // Shards own their subscription copies, so the snapshot-level
-              // storage is not needed; stamp every shard's watermark at the
-              // build version so later generations can tell applied deltas
-              // apart.
-              for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
-                sharded->set_shard_applied_seq(s, version);
-              }
-              stats_.shard_rebuilds.fetch_add(sharded->num_shards(),
-                                              std::memory_order_relaxed);
-            } else {
-              next->built_subs = built;
-            }
-            next->covered_seq = version;
-            next->applied_seq = version;
-            PublishSnapshot(std::move(next), compaction,
-                            timer.ElapsedNanos());
-          })
-          .share();
-}
-
-void StreamEngine::ScheduleShardRebuildLocked(
-    std::shared_ptr<EngineSnapshot> prev,
-    index::ShardedMatcher* prev_sharded, bool compaction) {
-  rebuild_inflight_ = true;
-  const uint32_t num_shards = options_.num_shards;
-  // A shard is dirty when it has change-log entries its watermark has not
-  // absorbed (non-incremental matchers, threshold 0, or a lost race), or
-  // when its own delta fraction crossed the compaction threshold. Reading
-  // the live matcher here is safe: the caller holds process_mu_.
-  std::vector<char> dirty(num_shards, 0);
-  for (const SubChange& change : change_log_) {
-    const uint32_t s = index::ShardedMatcher::ShardOf(change.id, num_shards);
-    if (change.seq > prev_sharded->shard_applied_seq(s)) dirty[s] = 1;
-  }
-  if (options_.incremental_rebuild_threshold > 0) {
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      if (prev_sharded->ShardDeltaFraction(s) >
-          options_.incremental_rebuild_threshold) {
-        dirty[s] = 1;
-      }
-    }
-  }
-  // Capture the dirty shards' live subscriptions under state_mu_; clean
-  // shards are carried over by reference and never copied or re-indexed.
-  std::vector<std::shared_ptr<std::vector<BooleanExpression>>> shard_subs(
-      num_shards);
-  uint32_t num_dirty = 0;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (dirty[s]) {
-      shard_subs[s] = std::make_shared<std::vector<BooleanExpression>>();
-      ++num_dirty;
-    }
-  }
-  size_t captured = 0;
-  for (const BooleanExpression& sub : subscriptions_) {
-    if (tombstones_.contains(sub.id())) continue;
-    const uint32_t s = index::ShardedMatcher::ShardOf(sub.id(), num_shards);
-    if (dirty[s]) {
-      shard_subs[s]->push_back(sub);
-      ++captured;
-    }
-  }
-  const uint64_t version = change_seq_;
-  trace_.Record(TraceRing::Kind::kRebuildSchedule, captured,
-                compaction ? 1 : 0);
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogDebug("per-shard snapshot build scheduled",
-             {{"dirty_shards", num_dirty},
-              {"captured_subs", captured},
-              {"compaction", compaction},
-              {"covers_seq", version}});
-  }
-  rebuild_done_ =
-      rebuild_pool_
-          .SubmitWithFuture([this, prev = std::move(prev), prev_sharded,
-                             shard_subs = std::move(shard_subs), num_dirty,
-                             num_shards, version, compaction] {
-            APCM_FAILPOINT("engine.rebuild.start");
-            WallTimer timer;
-            // The successor generation shares every clean shard with `prev`
-            // (alive via the captured shared_ptr) — those keep absorbing
-            // deltas through the live snapshot while this build runs, and
-            // their watermarks travel with them. Only dirty shards are
-            // re-indexed, from the captured master copies.
-            std::unique_ptr<index::ShardedMatcher> gen =
-                prev_sharded->NewGeneration();
-            for (uint32_t s = 0; s < num_shards; ++s) {
-              if (shard_subs[s] != nullptr) {
-                // Chaos seam: per-shard rebuild boundary — stalls here widen
-                // the window in which clean shards absorb deltas through the
-                // previous generation.
-                APCM_FAILPOINT("engine.rebuild.shard");
-                gen->RebuildShard(s, shard_subs[s], version);
-              }
-            }
-            stats_.shard_rebuilds.fetch_add(num_dirty,
-                                            std::memory_order_relaxed);
-            stats_.shard_rebuilds_skipped.fetch_add(num_shards - num_dirty,
-                                                    std::memory_order_relaxed);
-            auto next = std::make_shared<EngineSnapshot>();
-            next->matcher = std::move(gen);
+            next->built_subs = built;
             next->covered_seq = version;
             next->applied_seq = version;
             PublishSnapshot(std::move(next), compaction,
@@ -1411,18 +1140,14 @@ std::shared_ptr<EngineSnapshot> StreamEngine::SyncSnapshotLocked() {
       std::lock_guard<std::mutex> lock(state_mu_);
       const uint64_t base = snap == nullptr ? 0 : snap->applied_seq;
       if (snap != nullptr && base == change_seq_) return snap;
-      auto* delta_matcher =
-          snap == nullptr
-              ? nullptr
-              : dynamic_cast<IncrementalMatcher*>(snap->matcher.get());
-      const bool incremental = delta_matcher != nullptr &&
-                               delta_matcher->CanApplyDeltas() &&
-                               options_.incremental_rebuild_threshold > 0;
+      const bool incremental =
+          snap != nullptr &&
+          dynamic_cast<IncrementalMatcher*>(snap->matcher.get()) != nullptr &&
+          options_.incremental_rebuild_threshold > 0;
       if (!incremental) {
         // First build, non-incremental matcher, or threshold 0: the round
-        // needs a full (or, sharded, per-dirty-shard) rebuild covering
-        // every change up to now. Schedule (if not already in flight) and
-        // wait outside the lock.
+        // needs a full rebuild covering every change up to now. Schedule
+        // (if not already in flight) and wait outside the lock.
         ScheduleRebuildLocked(/*compaction=*/false);
         build_done = rebuild_done_;
       } else {
@@ -1447,42 +1172,18 @@ std::shared_ptr<EngineSnapshot> StreamEngine::SyncSnapshotLocked() {
     // compactions race the delta application they will supersede.
     APCM_FAILPOINT("engine.apply_delta");
     // Apply the deltas to the snapshot matcher. Serialized by process_mu_;
-    // the background builder never touches a published snapshot's shards.
+    // the background builder never touches a published snapshot.
     auto* inc = static_cast<IncrementalMatcher*>(snap->matcher.get());
-    auto* sharded = dynamic_cast<index::ShardedMatcher*>(snap->matcher.get());
     size_t next_add = 0;
-    uint64_t applied = 0;
     for (const SubChange& change : changes) {
-      BooleanExpression* add_expr = change.kind == SubChange::kAdd
-                                        ? &add_exprs[next_add++]
-                                        : nullptr;
-      if (sharded != nullptr) {
-        // Shards are shared across generations: a change may already have
-        // reached this shard through the previous generation while the
-        // per-shard rebuild that produced this snapshot was in flight. The
-        // shard's watermark travels with it, making the double-apply
-        // detectable.
-        const uint32_t s = index::ShardedMatcher::ShardOf(
-            change.id, sharded->num_shards());
-        if (sharded->shard_applied_seq(s) >= change.seq) {
-          snap->applied_seq = change.seq;
-          continue;
-        }
-        if (add_expr != nullptr) {
-          inc->AddIncremental(std::move(*add_expr));
-        } else {
-          APCM_CHECK(inc->RemoveIncremental(change.id).ok());
-        }
-        sharded->set_shard_applied_seq(s, change.seq);
-      } else if (add_expr != nullptr) {
-        inc->AddIncremental(std::move(*add_expr));
+      if (change.kind == SubChange::kAdd) {
+        inc->AddIncremental(std::move(add_exprs[next_add++]));
       } else {
         APCM_CHECK(inc->RemoveIncremental(change.id).ok());
       }
       snap->applied_seq = change.seq;
-      ++applied;
     }
-    stats_.incremental_updates.fetch_add(applied,
+    stats_.incremental_updates.fetch_add(changes.size(),
                                          std::memory_order_relaxed);
     if (!changes.empty() &&
         inc->DeltaFraction() > options_.incremental_rebuild_threshold) {

@@ -45,12 +45,6 @@ struct EngineStats {
   std::atomic<uint64_t> incremental_updates{0};
   /// Snapshot rebuilds triggered by the delta-fraction threshold.
   std::atomic<uint64_t> compactions{0};
-  /// Individual shard (re)builds executed by background snapshot builds
-  /// (num_shards > 1 only; the initial build counts every shard).
-  std::atomic<uint64_t> shard_rebuilds{0};
-  /// Clean shards carried into a new snapshot generation without
-  /// re-indexing (num_shards > 1 only) — the per-shard rebuild payoff.
-  std::atomic<uint64_t> shard_rebuilds_skipped{0};
   /// Publishes rejected by BackpressurePolicy::kReject (queue full).
   std::atomic<uint64_t> publishes_rejected{0};
   /// Publishes that found the queue full under BackpressurePolicy::kBlock
@@ -70,12 +64,6 @@ struct EngineStats {
   /// Wall time of each background snapshot build (rebuild or compaction),
   /// nanoseconds from schedule-execution to publish.
   ShardedHistogram rebuild_latency_ns;
-  /// Wall time of each (shard, dispatch) matcher call, nanoseconds
-  /// (num_shards > 1 only) — exposes shard work skew.
-  ShardedHistogram shard_batch_latency_ns;
-  /// Matches emitted per (shard, dispatch) (num_shards > 1 only) —
-  /// exposes shard match skew.
-  ShardedHistogram shard_batch_matches;
 };
 
 /// What Publish does when the bounded publish queue is full.
@@ -115,18 +103,6 @@ struct EngineOptions {
   /// forces full (background) rebuilds on every change (and is the only
   /// behavior for non-PCM matchers).
   double incremental_rebuild_threshold = 0.25;
-  /// Partitions the subscription set across this many independent inner
-  /// matchers by stable hash of subscription id (index::ShardedMatcher) and
-  /// fans each batch across them, merging the per-shard sorted match lists.
-  /// Snapshot rebuilds become per-shard: only shards with unabsorbed
-  /// changes are re-indexed. 1 (default, also the floor) = today's
-  /// unsharded behavior; the inner matcher is then free to use its own
-  /// threads (matcher.pcm.num_threads). With > 1 shards, inner matchers are
-  /// forced single-threaded — the shard axis is the parallelism.
-  uint32_t num_shards = 1;
-  /// Worker threads fanning events across shards (num_shards > 1 only).
-  /// 0 = min(num_shards, hardware concurrency); 1 = fully inline.
-  int shard_threads = 0;
   /// When > 0, each delivery is truncated to the `top_k` matches with the
   /// highest priority (ties broken by lower id first). Priorities default
   /// to 0 and are set per subscription with SetPriority — e.g. campaign
@@ -172,8 +148,8 @@ struct EngineOptions {
   /// on the background maintenance thread. 0 = only explicit Checkpoint()
   /// calls.
   uint64_t checkpoint_every_ops = 16384;
-  /// Embed a serialized matcher index image in checkpoints (PCM-family,
-  /// unsharded only) so recovery can skip the initial full rebuild.
+  /// Embed a serialized matcher index image in checkpoints (PCM-family
+  /// only) so recovery can skip the initial full rebuild.
   bool checkpoint_index = true;
   /// Bitmap kernel instruction set: "" or "auto" (default) keeps the
   /// process-wide runtime selection (best supported level, or the APCM_SIMD
@@ -185,11 +161,10 @@ struct EngineOptions {
 
 /// Rejects nonsensical engine configurations instead of letting them
 /// silently misbehave: a zero batch_size (no round could ever match
-/// anything), sharding requested over zero shards (num_shards == 0 with
-/// shard worker threads configured), a negative shard_threads, and a
-/// nonzero queue_capacity smaller than the effective buffer_capacity
-/// (max of buffer_capacity, osr.window_size, batch_size — the queue could
-/// then never reach the round trigger). StreamEngine construction
+/// anything), an unknown or unsupported simd level, a negative
+/// wal_sync_interval_ms, and a nonzero queue_capacity smaller than the
+/// effective buffer_capacity (max of buffer_capacity, osr.window_size,
+/// batch_size — the queue could then never reach the round trigger). StreamEngine construction
 /// CHECK-fails on an invalid config; call this first to surface the error
 /// as a Status.
 Status ValidateEngineOptions(const EngineOptions& options);
@@ -306,12 +281,6 @@ class StreamEngine {
   /// Number of live (non-removed) subscriptions.
   size_t num_subscriptions() const;
 
-  /// Live subscriptions per matcher shard (index::ShardedMatcher::ShardOf
-  /// hash partitioning; a single element when unsharded). Sums to
-  /// num_subscriptions() plus any extra DNF disjuncts. Powers the admin
-  /// server's /subscriptions endpoint.
-  std::vector<size_t> SubscriptionShardCounts() const;
-
   /// Counters. Every field — scalars and histograms — is safe to read at
   /// any time from any thread (see EngineStats).
   const EngineStats& stats() const { return stats_; }
@@ -401,24 +370,10 @@ class StreamEngine {
   Status RunCheckpoint();
   /// Master-list lookup by id (the list is id-sorted; ids are monotone).
   const BooleanExpression* FindSubscriptionLocked(SubscriptionId id) const;
-  /// The snapshot matcher the options describe: a plain `kind` matcher, or
-  /// (num_shards > 1) a ShardedMatcher of `kind` shards wired to the
-  /// engine's shard histograms.
-  std::unique_ptr<Matcher> CreateEngineMatcher();
   /// Schedules a background snapshot build over the live subscription set,
   /// unless one is already in flight. `compaction` selects which stats
-  /// counter the publish increments. Requires state_mu_ AND process_mu_
-  /// (the per-shard path below reads the live sharded matcher's
-  /// watermarks, which the processing lock guards).
+  /// counter the publish increments. Requires state_mu_.
   void ScheduleRebuildLocked(bool compaction);
-  /// The num_shards > 1 rebuild: computes the set of dirty shards (unapplied
-  /// change-log entries or an over-threshold delta fraction), captures their
-  /// live subscriptions, and schedules a build that shares every clean shard
-  /// with `prev_sharded` (NewGeneration) and re-indexes only the dirty ones.
-  /// Same locking contract as ScheduleRebuildLocked.
-  void ScheduleShardRebuildLocked(std::shared_ptr<EngineSnapshot> prev,
-                                  index::ShardedMatcher* prev_sharded,
-                                  bool compaction);
   /// Installs `next` as the current snapshot and prunes master state the
   /// build covered. Runs on the maintenance pool.
   void PublishSnapshot(std::shared_ptr<EngineSnapshot> next, bool compaction,

@@ -8,7 +8,6 @@
 #include "src/be/value.h"
 #include "src/core/pcm.h"
 #include "src/index/matcher.h"
-#include "src/index/sharded.h"
 
 namespace apcm::engine {
 
@@ -43,14 +42,6 @@ struct MatcherConfig {
 /// `kind`.
 std::unique_ptr<Matcher> CreateMatcher(MatcherKind kind,
                                        const MatcherConfig& config);
-
-/// Constructs an unbuilt ShardedMatcher whose shards are independent `kind`
-/// matchers. Sharding is the parallelism axis, so the inner matchers are
-/// forced single-threaded (`config.pcm.num_threads` is overridden to 1);
-/// fan-out concurrency comes from `sharded.num_threads`.
-std::unique_ptr<index::ShardedMatcher> CreateShardedMatcher(
-    MatcherKind kind, const MatcherConfig& config,
-    const index::ShardedOptions& sharded);
 
 }  // namespace apcm::engine
 

@@ -50,9 +50,9 @@ std::string RenderReport(const StreamEngine& engine) {
   for (size_t i = 0; i < hotspots.size(); ++i) {
     const HotspotEntry& h = hotspots[i];
     line(StringPrintf("hotspot #%zu", i + 1),
-         StringPrintf("shard=%u cluster=%u subs=%u example_sub=%llu "
+         StringPrintf("cluster=%u subs=%u example_sub=%llu "
                       "batches=%s ns=%s predicate_evals=%s candidates=%s",
-                      h.shard, h.cluster, h.subscriptions,
+                      h.cluster, h.subscriptions,
                       static_cast<unsigned long long>(h.example_sub),
                       FormatWithCommas(h.batches).c_str(),
                       FormatWithCommas(h.ns).c_str(),

@@ -29,10 +29,7 @@ namespace apcm::engine {
 /// that has not been published yet.
 struct EngineSnapshot {
   /// Stable storage for the expressions `matcher` references (matchers keep
-  /// pointers into this vector; see Matcher::Build). Null for sharded
-  /// generations (EngineOptions::num_shards > 1): each shard of a
-  /// ShardedMatcher owns its partition's storage, shared across the
-  /// generations that carry the shard.
+  /// pointers into this vector; see Matcher::Build).
   std::shared_ptr<const std::vector<BooleanExpression>> built_subs;
   /// The matcher built over *built_subs.
   std::unique_ptr<Matcher> matcher;

@@ -12,8 +12,8 @@
 namespace apcm {
 
 /// Instrumentation counters every matcher maintains. These drive the
-/// adaptive cost model, the multi-core work model (DESIGN.md §4), and the
-/// benchmark reports. Counters are cumulative; callers snapshot/diff.
+/// adaptive cost model, the hot-spot profiler, and the benchmark reports.
+/// Counters are cumulative; callers snapshot/diff.
 struct MatcherStats {
   uint64_t events_matched = 0;     ///< events processed
   uint64_t predicate_evals = 0;    ///< individual predicate evaluations
@@ -45,7 +45,6 @@ struct MatcherStats {
 /// only (the profiler samples 1 in N batches), so entries compare against
 /// each other, not against wall time.
 struct HotspotEntry {
-  uint32_t shard = 0;              ///< owning shard (0 when unsharded)
   uint32_t cluster = 0;            ///< cluster index within its matcher
   uint32_t subscriptions = 0;      ///< expressions in the cluster
   SubscriptionId example_sub = 0;  ///< one member id, for operator lookup
@@ -110,15 +109,9 @@ class Matcher {
 /// Build, plus a measure of how much delta has accumulated so callers can
 /// decide when to fold it back (the StreamEngine rebuilds above
 /// `EngineOptions::incremental_rebuild_threshold`). Implemented by the PCM
-/// family (delta clusters + tombstones) and by ShardedMatcher (which routes
-/// each change to the owning shard).
+/// family (delta clusters + tombstones).
 class IncrementalMatcher : public Matcher {
  public:
-  /// False when the object implements the interface but cannot actually
-  /// absorb deltas — e.g. a ShardedMatcher whose inner matchers are
-  /// non-incremental baselines. Callers must fall back to full rebuilds.
-  virtual bool CanApplyDeltas() const { return true; }
-
   /// Registers `subscription` without a rebuild. The id must not collide
   /// with a live subscription; it matches from the next Match call.
   virtual void AddIncremental(BooleanExpression subscription) = 0;
@@ -128,9 +121,7 @@ class IncrementalMatcher : public Matcher {
   virtual Status RemoveIncremental(SubscriptionId id) = 0;
 
   /// Fraction of the index that is delta state (incremental adds +
-  /// tombstones vs. total); callers rebuild above a threshold. Sharded
-  /// implementations report their *worst* shard, so a single churn-heavy
-  /// shard triggers (per-shard) compaction.
+  /// tombstones vs. total); callers rebuild above a threshold.
   virtual double DeltaFraction() const = 0;
 };
 

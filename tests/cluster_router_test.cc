@@ -27,6 +27,7 @@
 
 #include "src/base/failpoint.h"
 #include "src/base/rng.h"
+#include "src/cluster/partition.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 
@@ -205,6 +206,38 @@ void MakeWorkload(uint64_t seed, int num_subs, int num_events,
       attr += 1 + rng.Uniform(4);
     }
     events->push_back(Event::FromSorted(std::move(entries)));
+  }
+}
+
+// Subscription placement is part of the cluster's persistent contract: a
+// backend's partitions must hold the same ids across restarts and builds.
+// These literal values pin the splitmix64 id hash.
+TEST(PartitionMapTest, PartitionOfIsPinned) {
+  const uint64_t ids[] = {1, 2, 3, 12345, 4294967295ULL};
+  const uint32_t p16[] = {1, 14, 13, 0, 0};
+  const uint32_t p64[] = {1, 14, 45, 32, 0};
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(PartitionMap::PartitionOf(ids[i], 16), p16[i]) << ids[i];
+    EXPECT_EQ(PartitionMap::PartitionOf(ids[i], 64), p64[i]) << ids[i];
+  }
+  // Everything lands in partition 0 when there is only one.
+  EXPECT_EQ(PartitionMap::PartitionOf(12345, 1), 0u);
+}
+
+TEST(PartitionMapTest, PartitionOfIsStableInRangeAndBalanced) {
+  constexpr uint32_t kPartitions = 16;
+  std::vector<size_t> population(kPartitions, 0);
+  for (uint64_t id = 0; id < 10'000; ++id) {
+    const uint32_t p = PartitionMap::PartitionOf(id, kPartitions);
+    ASSERT_LT(p, kPartitions);
+    ASSERT_EQ(p, PartitionMap::PartitionOf(id, kPartitions));
+    ++population[p];
+  }
+  // 10k consecutive ids spread close to uniformly: 625 per partition
+  // expected, each within +-30%.
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    EXPECT_GE(population[p], 438u) << "partition " << p;
+    EXPECT_LE(population[p], 812u) << "partition " << p;
   }
 }
 

@@ -49,6 +49,14 @@ EngineOptions ConcurrentOptions() {
   return options;
 }
 
+/// ConcurrentOptions with cluster-parallel matching on 2 worker threads,
+/// sized (like everything here) to stay fast under TSan.
+EngineOptions ThreadedConcurrentOptions() {
+  EngineOptions options = ConcurrentOptions();
+  options.matcher.pcm.num_threads = 2;
+  return options;
+}
+
 workload::WorkloadSpec ConcurrentSpec(uint64_t seed, uint32_t num_events) {
   workload::WorkloadSpec spec;
   spec.seed = seed;
@@ -282,15 +290,16 @@ TEST(EngineConcurrentTest, RejectPolicyReturnsResourceExhausted) {
 }
 
 // The observability acceptance test: 4 publisher threads drive a live engine
-// while a scraper thread continuously renders Prometheus text, the JSON
-// exposition, the operations report, the trace dump, and reads stats() —
+// (matching on 2 worker threads) while a scraper thread continuously renders
+// Prometheus text, the JSON exposition, the operations report (with its
+// hot-spot ranking), the trace dump, and reads stats() —
 // exactly what a monitoring agent hitting /metrics does. Under
 // scripts/check.sh --tsan this must be race-free.
 TEST(EngineConcurrentTest, ScraperRacesPublishersCleanly) {
   const auto workload = workload::Generate(ConcurrentSpec(8, 400)).value();
   constexpr size_t kPublishers = 4;
   ConcurrentDelivery delivery;
-  StreamEngine engine(ConcurrentOptions(), delivery.Callback());
+  StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
   for (size_t i = 0; i < 60; ++i) {
     ASSERT_TRUE(
         engine.AddSubscription(workload.subscriptions[i].predicates()).ok());
@@ -342,25 +351,17 @@ TEST(EngineConcurrentTest, ScraperRacesPublishersCleanly) {
       << text;
 }
 
-/// ConcurrentOptions with a sharded backend: 4 shards on a 2-thread fan-out
-/// pool, sized (like everything here) to stay fast under TSan.
-EngineOptions ShardedConcurrentOptions() {
-  EngineOptions options = ConcurrentOptions();
-  options.num_shards = 4;
-  options.shard_threads = 2;
-  return options;
-}
-
-// The sharded backend under concurrent publishers: fan-out pool, per-shard
-// merge, and snapshot swaps all racing, checked against a sequential run.
-TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
+// A multi-threaded matcher under concurrent publishers: the matcher's
+// worker pool, its per-thread result merge, and snapshot swaps all racing,
+// checked against a sequential run.
+TEST(EngineConcurrentTest, ThreadedPublishersAgreeWithSequentialReference) {
   const auto workload = workload::Generate(ConcurrentSpec(9, 400)).value();
   constexpr size_t kPublishers = 4;
 
   std::map<uint64_t, std::vector<SubscriptionId>> reference;
   {
     ConcurrentDelivery delivery;
-    StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+    StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
     for (const auto& sub : workload.subscriptions) {
       ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
     }
@@ -373,7 +374,7 @@ TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
   }
 
   ConcurrentDelivery delivery;
-  StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+  StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
   for (const auto& sub : workload.subscriptions) {
     ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
   }
@@ -397,10 +398,10 @@ TEST(EngineConcurrentTest, ShardedPublishersAgreeWithSequentialReference) {
   }
 }
 
-// Mutator churn against the sharded backend: per-shard delta routing and
-// per-shard background rebuilds racing publishers, with exactly-once
-// delivery and a deterministic post-quiesce probe.
-TEST(EngineConcurrentTest, ShardedMutatorChurnKeepsDeliveryExactlyOnce) {
+// Mutator churn against a multi-threaded matcher: delta application and
+// background rebuilds racing publishers, with exactly-once delivery and a
+// deterministic post-quiesce probe.
+TEST(EngineConcurrentTest, ThreadedMutatorChurnKeepsDeliveryExactlyOnce) {
   const auto workload = workload::Generate(ConcurrentSpec(10, 300)).value();
   auto churn_spec = ConcurrentSpec(11, 1);
   churn_spec.num_subscriptions = 60;
@@ -412,7 +413,7 @@ TEST(EngineConcurrentTest, ShardedMutatorChurnKeepsDeliveryExactlyOnce) {
                  std::map<uint64_t, std::vector<SubscriptionId>>*
                      probe_results) {
     ConcurrentDelivery delivery;
-    StreamEngine engine(ShardedConcurrentOptions(), delivery.Callback());
+    StreamEngine engine(ThreadedConcurrentOptions(), delivery.Callback());
     for (const auto& sub : workload.subscriptions) {
       ASSERT_TRUE(engine.AddSubscription(sub.predicates()).ok());
     }

@@ -309,27 +309,6 @@ TEST(EngineTest, ValidateEngineOptionsRejectsZeroBatch) {
   EXPECT_NE(status.message().find("batch_size"), std::string::npos);
 }
 
-TEST(EngineTest, ValidateEngineOptionsRejectsShardingOverZeroShards) {
-  EngineOptions options;
-  options.num_shards = 0;
-  options.shard_threads = 4;
-  EXPECT_EQ(ValidateEngineOptions(options).code(),
-            StatusCode::kInvalidArgument);
-  // num_shards == 0 alone is merely shorthand for unsharded (normalized to
-  // 1), and sharding with automatic workers is fine.
-  options.shard_threads = 0;
-  EXPECT_TRUE(ValidateEngineOptions(options).ok());
-  options.num_shards = 8;
-  EXPECT_TRUE(ValidateEngineOptions(options).ok());
-}
-
-TEST(EngineTest, ValidateEngineOptionsRejectsNegativeShardThreads) {
-  EngineOptions options;
-  options.shard_threads = -1;
-  EXPECT_EQ(ValidateEngineOptions(options).code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(EngineTest, ValidateEngineOptionsRejectsQueueBelowBuffer) {
   EngineOptions options;
   options.osr.window_size = 0;
@@ -350,26 +329,6 @@ TEST(EngineTest, ValidateEngineOptionsRejectsQueueBelowBuffer) {
   options.batch_size = 128;
   EXPECT_EQ(ValidateEngineOptions(options).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(EngineTest, SubscriptionShardCountsCoverLiveSet) {
-  EngineOptions options = SmallOptions();
-  options.num_shards = 4;
-  Delivery delivery;
-  StreamEngine engine(options, delivery.Callback());
-  std::vector<SubscriptionId> ids;
-  for (int i = 0; i < 32; ++i) {
-    auto id = engine.AddSubscription({Predicate(0, Op::kGe, i)});
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  ASSERT_TRUE(engine.RemoveSubscription(ids[0]).ok());
-  const std::vector<size_t> counts = engine.SubscriptionShardCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  size_t total = 0;
-  for (size_t count : counts) total += count;
-  EXPECT_EQ(total, 31u);
-  EXPECT_EQ(total, engine.num_subscriptions());
 }
 
 TEST(EngineTest, StatsPopulated) {

@@ -20,7 +20,6 @@
 #include "src/bitmap/kernels.h"
 #include "src/engine/engine.h"
 #include "src/index/scan.h"
-#include "src/index/sharded.h"
 #include "src/store/checkpoint.h"
 #include "src/store/durable_store.h"
 #include "src/store/wal.h"
@@ -146,7 +145,7 @@ class DifferentialSoakTest : public ::testing::TestWithParam<uint64_t> {};
 // Engine-level soak: random mutation bursts interleaved with event batches.
 // Each batch is published against a quiesced subscription set, so SCAN over
 // the model's live set is an exact per-event oracle; the mutation bursts in
-// between still drive the delta path, per-shard rebuilds, and compactions.
+// between still drive the delta path, rebuilds, and compactions.
 TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
   const uint64_t seed = GetParam();
   SCOPED_TRACE("reproduce with: --gtest_filter='*EngineAgreesWithScan*' "
@@ -158,11 +157,10 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
 
   engine::EngineOptions options;
   options.kind = engine::MatcherKind::kAPcm;
-  // Vary the engine shape per seed: shard count, fan-out threads, and
-  // whether the incremental path is enabled at all.
-  const uint32_t shard_choices[] = {1, 2, 4, 7};
-  options.num_shards = shard_choices[rng.Uniform(4)];
-  options.shard_threads = 1 + static_cast<int>(rng.Uniform(2));
+  // Vary the engine shape per seed: matcher threads and whether the
+  // incremental path is enabled at all.
+  const int thread_choices[] = {1, 2, 4};
+  options.matcher.pcm.num_threads = thread_choices[rng.Uniform(3)];
   options.matcher.pcm.clustering.cluster_size = 32;
   options.batch_size = 8;
   options.osr.window_size = rng.Bernoulli(0.5) ? 16 : 0;
@@ -227,7 +225,7 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
         scan.Match(*events[e], &expected);
         ASSERT_EQ(by_event.at(ids[e]), expected)
             << "event " << ids[e] << " (" << events[e]->ToString() << ") with "
-            << options.num_shards << " shards, threshold "
+            << options.matcher.pcm.num_threads << " threads, threshold "
             << options.incremental_rebuild_threshold;
       }
     }
@@ -236,74 +234,6 @@ TEST_P(DifferentialSoakTest, EngineAgreesWithScanUnderChurn) {
   // Exactly-once delivery across the whole interleaving.
   EXPECT_EQ(by_event.size(), published);
   EXPECT_EQ(engine.stats().events_processed, published);
-}
-
-// Matcher-level soak: ShardedMatcher absorbing incremental adds/removes must
-// agree with a scan oracle rebuilt from the model at every checkpoint.
-TEST_P(DifferentialSoakTest, ShardedIncrementalAgreesWithScanOracle) {
-  const uint64_t seed = GetParam() ^ 0x50AC;
-  SCOPED_TRACE("reproduce with seed = " + std::to_string(GetParam()));
-  Rng rng(seed);
-  const auto pool = workload::Generate(SoakPoolSpec(seed)).value();
-
-  index::ShardedOptions sharded;
-  const uint32_t shard_choices[] = {1, 3, 8};
-  sharded.num_shards = shard_choices[rng.Uniform(3)];
-  sharded.num_threads = 2;
-  engine::MatcherConfig config;
-  config.pcm.clustering.cluster_size = 32;
-  auto matcher =
-      engine::CreateShardedMatcher(engine::MatcherKind::kAPcm, config, sharded);
-
-  // Ids must be unique forever (engine semantics): allocate monotonically.
-  SubscriptionId next_id = 0;
-  std::map<SubscriptionId, BooleanExpression> live;
-  std::vector<SubscriptionId> live_ids;
-  std::vector<BooleanExpression> base;
-  for (int i = 0; i < 40; ++i) {
-    const auto& sub = pool.subscriptions[i];
-    base.push_back(BooleanExpression::Create(next_id, sub.predicates()).value());
-    live.emplace(next_id, base.back());
-    live_ids.push_back(next_id);
-    ++next_id;
-  }
-  matcher->Build(base);
-
-  const size_t ops = SoakOps();
-  for (size_t op = 0; op < ops; ++op) {
-    const uint64_t dice = rng.Uniform(100);
-    if (dice < 45) {
-      const auto& sub =
-          pool.subscriptions[rng.Uniform(pool.subscriptions.size())];
-      auto expr = BooleanExpression::Create(next_id, sub.predicates()).value();
-      matcher->AddIncremental(expr);
-      live.emplace(next_id, std::move(expr));
-      live_ids.push_back(next_id);
-      ++next_id;
-    } else if (dice < 70 && !live_ids.empty()) {
-      const size_t pick = rng.Uniform(live_ids.size());
-      const SubscriptionId id = live_ids[pick];
-      live_ids.erase(live_ids.begin() + static_cast<ptrdiff_t>(pick));
-      live.erase(id);
-      ASSERT_TRUE(matcher->RemoveIncremental(id).ok()) << "id " << id;
-    } else {
-      std::vector<BooleanExpression> subs;
-      subs.reserve(live.size());
-      for (const auto& [id, sub] : live) subs.push_back(sub);
-      index::ScanMatcher scan;
-      scan.Build(subs);
-      std::vector<SubscriptionId> expected;
-      std::vector<SubscriptionId> actual;
-      for (size_t e = 0; e < 4; ++e) {
-        const Event& event = pool.events[rng.Uniform(pool.events.size())];
-        scan.Match(event, &expected);
-        matcher->Match(event, &actual);
-        ASSERT_EQ(actual, expected)
-            << event.ToString() << " with " << sharded.num_shards
-            << " shards after " << op << " ops";
-      }
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSoakTest,

@@ -254,115 +254,12 @@ TEST(EngineAgreementTest, TopKDeliveryEqualsTruncatedGroundTruth) {
   }
 }
 
-// Sharded differential oracle: for every workload spec and every shard
-// count, ShardedMatcher must produce byte-identical sorted match sets to the
-// SCAN ground truth, through the single-event API and the batch API, with
-// incremental (a-pcm) and non-incremental (counting) inner matchers.
-constexpr uint32_t kShardCounts[] = {1, 2, 7, 16};
+// The engine facade over a multi-threaded matcher must agree with scan on
+// every workload spec — batching, OSR, and the per-thread result merge all
+// composed.
+class ThreadedEngineAgreementTest : public ::testing::TestWithParam<size_t> {};
 
-class ShardedAgreementTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ShardedAgreementTest, ShardedAgreesWithScanForAllShardCounts) {
-  const AgreementCase test_case = MakeCases()[GetParam()];
-  SCOPED_TRACE(test_case.name);
-  const auto workload = workload::Generate(test_case.spec).value();
-
-  MatcherConfig config;
-  config.domain = {test_case.spec.domain_min, test_case.spec.domain_max};
-  config.pcm.clustering.cluster_size = 64;
-
-  index::ScanMatcher scan;
-  const auto expected = RunMatcher(scan, workload);
-
-  for (uint32_t num_shards : kShardCounts) {
-    for (MatcherKind kind : {MatcherKind::kAPcm, MatcherKind::kCounting}) {
-      index::ShardedOptions sharded;
-      sharded.num_shards = num_shards;
-      sharded.num_threads = 2;  // exercise the fan-out pool
-      auto matcher = engine::CreateShardedMatcher(kind, config, sharded);
-      const auto actual = RunMatcher(*matcher, workload);
-      ASSERT_EQ(actual.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(actual[i], expected[i])
-            << matcher->Name() << " disagrees with scan on event " << i
-            << " of case '" << test_case.name
-            << "': " << workload.events[i].ToString();
-      }
-    }
-  }
-}
-
-TEST_P(ShardedAgreementTest, ShardedBatchEqualsSingle) {
-  const AgreementCase test_case = MakeCases()[GetParam()];
-  SCOPED_TRACE(test_case.name);
-  const auto workload = workload::Generate(test_case.spec).value();
-  MatcherConfig config;
-  config.domain = {test_case.spec.domain_min, test_case.spec.domain_max};
-  config.pcm.clustering.cluster_size = 64;
-  for (uint32_t num_shards : kShardCounts) {
-    index::ShardedOptions sharded;
-    sharded.num_shards = num_shards;
-    sharded.num_threads = 2;
-    auto batch_matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    batch_matcher->Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> batch_results;
-    batch_matcher->MatchBatch(workload.events, &batch_results);
-
-    auto single_matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    const auto single_results = RunMatcher(*single_matcher, workload);
-    EXPECT_EQ(batch_results, single_results)
-        << num_shards << " shards, case " << test_case.name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, ShardedAgreementTest,
-    ::testing::Range<size_t>(0, MakeCases().size()),
-    [](const ::testing::TestParamInfo<size_t>& info) {
-      return MakeCases()[info.param].name;
-    });
-
-// The acceptance-criterion bulk run: >= 10k generated events through every
-// shard count, each batch result compared byte-for-byte against SCAN.
-TEST(ShardedAgreementTest, TenThousandEventDifferentialRun) {
-  auto spec = BaseSpec(99);
-  spec.num_subscriptions = 400;
-  spec.num_events = 10'000;
-  const auto workload = workload::Generate(spec).value();
-
-  MatcherConfig config;
-  config.domain = {spec.domain_min, spec.domain_max};
-  config.pcm.clustering.cluster_size = 64;
-
-  index::ScanMatcher scan;
-  scan.Build(workload.subscriptions);
-  std::vector<std::vector<SubscriptionId>> expected;
-  scan.MatchBatch(workload.events, &expected);
-
-  for (uint32_t num_shards : kShardCounts) {
-    index::ShardedOptions sharded;
-    sharded.num_shards = num_shards;
-    sharded.num_threads = 2;
-    auto matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
-    matcher->Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> actual;
-    matcher->MatchBatch(workload.events, &actual);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(actual[i], expected[i])
-          << matcher->Name() << " disagrees with scan on event " << i;
-    }
-  }
-}
-
-// The engine facade with a sharded backend must agree with scan on every
-// workload spec — batching, OSR, and the per-shard merge all composed.
-class ShardedEngineAgreementTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ShardedEngineAgreementTest, ShardedEngineAgreesWithScan) {
+TEST_P(ThreadedEngineAgreementTest, ThreadedEngineAgreesWithScan) {
   const AgreementCase test_case = MakeCases()[GetParam()];
   SCOPED_TRACE(test_case.name);
   const auto workload = workload::Generate(test_case.spec).value();
@@ -372,14 +269,13 @@ TEST_P(ShardedEngineAgreementTest, ShardedEngineAgreesWithScan) {
 
   struct Variant {
     MatcherKind kind;
-    uint32_t num_shards;
+    int num_threads;
   };
-  for (const Variant v : {Variant{MatcherKind::kAPcm, 4},
-                          Variant{MatcherKind::kCounting, 3}}) {
+  for (const Variant v :
+       {Variant{MatcherKind::kAPcm, 4}, Variant{MatcherKind::kPcm, 2}}) {
     engine::EngineOptions options;
     options.kind = v.kind;
-    options.num_shards = v.num_shards;
-    options.shard_threads = 2;
+    options.matcher.pcm.num_threads = v.num_threads;
     options.matcher.domain = {test_case.spec.domain_min,
                               test_case.spec.domain_max};
     options.matcher.pcm.clustering.cluster_size = 64;
@@ -402,31 +298,30 @@ TEST_P(ShardedEngineAgreementTest, ShardedEngineAgreesWithScan) {
     ASSERT_EQ(by_event.size(), workload.events.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(by_event.at(i), expected[i])
-          << MatcherKindName(v.kind) << " engine with " << v.num_shards
-          << " shards disagrees with scan on event " << i << " of case '"
+          << MatcherKindName(v.kind) << " engine with " << v.num_threads
+          << " threads disagrees with scan on event " << i << " of case '"
           << test_case.name << "'";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Cases, ShardedEngineAgreementTest,
+    Cases, ThreadedEngineAgreementTest,
     ::testing::Range<size_t>(0, MakeCases().size()),
     [](const ::testing::TestParamInfo<size_t>& info) {
       return MakeCases()[info.param].name;
     });
 
-// Top-k truncation must be shard-oblivious: the per-shard merge feeds the
-// same full match set into the top-k stage as the unsharded matcher would.
-TEST(ShardedEngineAgreementTest, TopKDeliveryWithShardsEqualsGroundTruth) {
+// Top-k truncation must be thread-oblivious: the per-thread merge feeds the
+// same full match set into the top-k stage as the sequential matcher would.
+TEST(ThreadedEngineAgreementTest, TopKDeliveryWithThreadsEqualsGroundTruth) {
   const auto workload = workload::Generate(BaseSpec(78)).value();
   index::ScanMatcher scan;
   const auto expected = RunMatcher(scan, workload);
 
   engine::EngineOptions options;
   options.kind = engine::MatcherKind::kAPcm;
-  options.num_shards = 5;
-  options.shard_threads = 2;
+  options.matcher.pcm.num_threads = 4;
   options.matcher.pcm.clustering.cluster_size = 64;
   options.batch_size = 16;
   options.osr.window_size = 32;
@@ -464,8 +359,8 @@ TEST(ShardedEngineAgreementTest, TopKDeliveryWithShardsEqualsGroundTruth) {
   }
 }
 
-// SIMD-forced agreement: the same workload through A-PCM, the sharded
-// backend, and SCAN under every supported kernel level must produce
+// SIMD-forced agreement: the same workload through A-PCM (sequential and
+// on 4 threads) and SCAN under every supported kernel level must produce
 // byte-identical match sets — and identical FNV-1a digests, the same
 // fingerprint the golden replay uses, so a cross-level divergence is
 // directly comparable against the pinned goldens.
@@ -519,14 +414,12 @@ TEST_P(SimdAgreementTest, MatchDigestsIdenticalUnderEveryKernelLevel) {
           << test_case.name << "'";
       ASSERT_EQ(actual, expected);
     }
-    index::ShardedOptions sharded;
-    sharded.num_shards = 4;
-    sharded.num_threads = 2;
-    auto matcher =
-        engine::CreateShardedMatcher(MatcherKind::kAPcm, config, sharded);
+    MatcherConfig threaded = config;
+    threaded.pcm.num_threads = 4;
+    auto matcher = CreateMatcher(MatcherKind::kAPcm, threaded);
     const auto actual = RunMatcher(*matcher, workload);
     ASSERT_EQ(DigestRows(actual), expected_digest)
-        << "sharded a-pcm digest diverges under "
+        << "4-thread a-pcm digest diverges under "
         << bitmap::SimdLevelName(level) << " kernels on case '"
         << test_case.name << "'";
     // SCAN itself also runs through Bitmap word ops; include it.

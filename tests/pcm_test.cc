@@ -61,39 +61,6 @@ INSTANTIATE_TEST_SUITE_P(
             PcmParam{PcmMode::kCompressed, 1, true, 1},
             PcmParam{PcmMode::kCompressed, 2, true, 1000})));
 
-TEST(PcmTest, EventParallelAgreesWithClusterParallel) {
-  const auto workload = workload::Generate(GnarlySpec(90)).value();
-  for (PcmMode mode :
-       {PcmMode::kCompressed, PcmMode::kLazy, PcmMode::kAdaptive}) {
-    PcmOptions options = BaseOptions();
-    options.mode = mode;
-    options.num_threads = 3;
-    options.parallelism = ParallelismMode::kEventParallel;
-    PcmMatcher matcher(options);
-    ExpectAgreesWithScan(matcher, workload);
-
-    // Batch API across both partitionings.
-    PcmMatcher event_parallel(options);
-    event_parallel.Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> ep_results;
-    event_parallel.MatchBatch(workload.events, &ep_results);
-
-    options.parallelism = ParallelismMode::kClusterParallel;
-    PcmMatcher cluster_parallel(options);
-    cluster_parallel.Build(workload.subscriptions);
-    std::vector<std::vector<SubscriptionId>> cp_results;
-    cluster_parallel.MatchBatch(workload.events, &cp_results);
-    EXPECT_EQ(ep_results, cp_results);
-  }
-}
-
-TEST(PcmTest, ParallelismModeNames) {
-  EXPECT_STREQ(ParallelismModeName(ParallelismMode::kClusterParallel),
-               "cluster-parallel");
-  EXPECT_STREQ(ParallelismModeName(ParallelismMode::kEventParallel),
-               "event-parallel");
-}
-
 TEST(PcmTest, BatchMatchesSingleEventApi) {
   const auto workload = workload::Generate(GnarlySpec(93)).value();
   PcmOptions options = BaseOptions();

@@ -24,6 +24,7 @@
 #include "src/engine/engine.h"
 #include "src/store/checkpoint.h"
 #include "src/store/durable_store.h"
+#include "src/store/wal.h"
 
 namespace apcm {
 namespace {
@@ -447,15 +448,15 @@ TEST(RecoveryTest, ExplicitCheckpointTruncatesLogAndBoundsReplay) {
 }
 
 /// Satellite property: snapshot + WAL round-trip across matcher backends —
-/// the checkpoint image embeds a PCM index only for unsharded PCM-family
-/// configs, everything else recovers through pure state + replay, and both
-/// paths must agree with the oracle.
+/// the checkpoint image embeds a PCM index only for PCM-family configs,
+/// everything else recovers through pure state + replay, and both paths
+/// must agree with the oracle, whatever the matcher's thread count.
 TEST(RecoveryTest, RoundTripAcrossMatcherBackends) {
   const auto script = MakeScript(0x5EED, 22);
   const auto probes = MakeProbes(0x5EED2, 32);
   struct Backend {
     MatcherKind kind;
-    uint32_t num_shards;
+    int num_threads;
   };
   const Backend backends[] = {{MatcherKind::kAPcm, 1},
                               {MatcherKind::kPcm, 1},
@@ -464,11 +465,11 @@ TEST(RecoveryTest, RoundTripAcrossMatcherBackends) {
                               {MatcherKind::kAPcm, 4}};
   for (const Backend& backend : backends) {
     SCOPED_TRACE(std::string(MatcherKindName(backend.kind)) + "/" +
-                 std::to_string(backend.num_shards) + " shards");
+                 std::to_string(backend.num_threads) + " threads");
     TempDir dir;
     EngineOptions options = DurableOptions(dir.path());
     options.kind = backend.kind;
-    options.num_shards = backend.num_shards;
+    options.matcher.pcm.num_threads = backend.num_threads;
     // Explicit Checkpoint() only, so it cannot race a background one.
     options.checkpoint_every_ops = 0;
     {
@@ -485,24 +486,23 @@ TEST(RecoveryTest, RoundTripAcrossMatcherBackends) {
   }
 }
 
-/// Sharded engines embed one index image per shard in the checkpoint (index
-/// form 2) and recovery rehydrates every shard from its image instead of
-/// rebuilding: the restored engine answers probes with zero shard rebuilds.
-TEST(RecoveryTest, ShardedCheckpointEmbedsAndRestoresPerShardImages) {
+/// Checkpoints written by the retired sharded engine carry index form 2
+/// (one image per hash shard). They must still recover: the decoder drops
+/// the images and the engine rebuilds its index from the subscriptions. A
+/// Corrupt verdict instead would fall back to an older checkpoint whose WAL
+/// may already be truncated.
+TEST(RecoveryTest, LegacyShardedCheckpointRecoversByRebuilding) {
   const auto script = MakeScript(0x51AED, 26);
   const auto probes = MakeProbes(0x51AED2, 32);
   TempDir dir;
   EngineOptions options = DurableOptions(dir.path());
-  options.kind = MatcherKind::kAPcm;
-  options.num_shards = 4;
   options.checkpoint_every_ops = 0;  // explicit Checkpoint() only
+  options.checkpoint_index = false;  // form 0: no index section
   {
     Harness durable(options);
     ApplyScript(durable.engine, script);
     ASSERT_TRUE(durable.engine.Checkpoint().ok());
   }
-  // The on-disk image carries the sharded index section: the inner kind
-  // plus one non-empty image per shard (decoded through the public codec).
   std::string ckpt_path;
   const auto names = ListDir(dir.path()).value();
   for (const std::string& name : names) {
@@ -511,24 +511,34 @@ TEST(RecoveryTest, ShardedCheckpointEmbedsAndRestoresPerShardImages) {
   ASSERT_FALSE(ckpt_path.empty());
   const auto bytes = ReadFileToString(ckpt_path);
   ASSERT_TRUE(bytes.ok());
-  const auto decoded = store::DecodeCheckpoint(*bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->index_kind, MatcherKindName(MatcherKind::kAPcm));
-  EXPECT_TRUE(decoded->index_image.empty());
-  ASSERT_EQ(decoded->shard_images.size(), 4u);
-  for (const std::string& image : decoded->shard_images) {
-    EXPECT_FALSE(image.empty());
-  }
 
+  // Rewrite the form-0 index byte (the last before the CRC) to form 2,
+  // append a two-shard section of opaque images, and re-seal the CRC.
+  std::string form2 = bytes->substr(0, bytes->size() - sizeof(uint32_t));
+  ASSERT_EQ(form2.back(), '\0');
+  form2.back() = '\2';
+  store::ByteWriter writer(&form2);
+  writer.Bytes(MatcherKindName(MatcherKind::kAPcm));
+  writer.U32(2);
+  writer.Bytes("shard-0 image");
+  writer.Bytes("shard-1 image");
+  writer.U32(MaskCrc32c(Crc32c(0, form2.data(), form2.size())));
+  ASSERT_TRUE(AtomicWriteFile(ckpt_path, form2).ok());
+
+  const auto decoded = store::DecodeCheckpoint(form2);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->index_kind.empty());
+  EXPECT_TRUE(decoded->index_image.empty());
+
+  options.checkpoint_index = true;
   Harness recovered(options);
   const std::vector<bool> all(script.size(), true);
   const auto [oracle_digest, oracle_subs] =
       OracleDigest(script, all, probes, options);
   EXPECT_EQ(recovered.engine.num_subscriptions(), oracle_subs);
   EXPECT_EQ(recovered.Probe(probes), oracle_digest);
-  // The probes ran entirely on the rehydrated shards: nothing was rebuilt.
   EXPECT_EQ(CounterValue(recovered.engine.metrics_registry(),
-                         "apcm_shard_rebuilds_total"),
+                         "apcm_recovery_skipped_checkpoints_total"),
             0u);
 }
 

@@ -1,14 +1,14 @@
 // Golden workload-replay regression. A small seeded workload::Trace is
 // checked in under tests/data/ together with a golden digest of the match
 // sets the engine must produce when replaying it. Any change to the parser,
-// matcher family, sharding, or engine round logic that alters *which*
+// matcher family, matcher threading, or engine round logic that alters *which*
 // matches are delivered shows up as a digest mismatch here — before it shows
 // up as a subtle disagreement in production.
 //
 // The digest depends only on logical content (publish index -> sorted
 // subscription indices), never on thread interleaving or delivery order, so
 // it is byte-stable across runs, build types, and matcher backends: the
-// replay is asserted for the default A-PCM engine, a sharded engine, and the
+// replay is asserted for the default A-PCM engine, a 4-thread engine, and the
 // SCAN oracle, which must all agree with the checked-in value.
 //
 // Regenerating after an *intended* matching-semantics change:
@@ -224,7 +224,7 @@ TEST(WorkloadReplayTest, GoldenTraceMatchesCheckedInDigest) {
          "APCM_UPDATE_GOLDEN=1 and commit both files";
 }
 
-TEST(WorkloadReplayTest, ShardedAndScanBackendsAgreeWithGolden) {
+TEST(WorkloadReplayTest, ThreadedAndScanBackendsAgreeWithGolden) {
   if (UpdateGoldenRequested()) GTEST_SKIP() << "regeneration run";
   auto loaded = workload::LoadBinary(DataPath(kTracePath));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -232,11 +232,11 @@ TEST(WorkloadReplayTest, ShardedAndScanBackendsAgreeWithGolden) {
       ParseGolden(ReadFileOrEmpty(DataPath(kGoldenPath)));
   ASSERT_TRUE(golden.count("hash"));
 
-  EngineOptions sharded = ReplayOptions();
-  sharded.num_shards = 4;
-  EXPECT_EQ(HashHex(HashRows(Replay(*loaded, sharded).rows)),
+  EngineOptions threaded = ReplayOptions();
+  threaded.matcher.pcm.num_threads = 4;
+  EXPECT_EQ(HashHex(HashRows(Replay(*loaded, threaded).rows)),
             golden.at("hash"))
-      << "sharded replay disagrees with the golden digest";
+      << "4-thread replay disagrees with the golden digest";
 
   EngineOptions scan = ReplayOptions();
   scan.kind = MatcherKind::kScan;

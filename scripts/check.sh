@@ -3,7 +3,8 @@
 # and run each benchmark briefly. This is what CI runs.
 #
 # Modes:
-#   scripts/check.sh          full release check (build + ctest + smokes)
+#   scripts/check.sh          full release check (orphan-header guard +
+#                             build + ctest + smokes)
 #   scripts/check.sh --tsan   ThreadSanitizer check: rebuild the concurrency
 #                             surface under -fsanitize=thread and repeat the
 #                             engine/thread-pool tests (APCM_TSAN_REPEAT
@@ -148,6 +149,7 @@ if [[ "${1:-}" == "--chaos" ]]; then
   exit 0
 fi
 
+scripts/orphan_headers.sh
 cmake -B build "${GENERATOR[@]}"
 cmake --build build
 ctest --test-dir build --output-on-failure

@@ -41,7 +41,7 @@ class BooleanExpression {
   bool Matches(const Event& event) const;
 
   /// Like Matches but also counts evaluated predicates into `*evals`
-  /// (instrumentation for the cost model and the benchmarks).
+  /// (instrumentation for the hot-spot profiler and the benchmarks).
   bool MatchesCounting(const Event& event, uint64_t* evals) const;
 
   /// "id=7: a3 <= 42 and a9 between [1, 5]".

@@ -2,22 +2,22 @@
 #define APCM_BITMAP_BITMAP_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/base/bit_ops.h"
-#include "src/base/macros.h"
 #include "src/bitmap/kernels.h"
 
 namespace apcm {
 
 /// \file
-/// Word-parallel bitmap kernel. Compressed cluster matching spends almost all
-/// of its time in these loops, so the primitives are also exposed as free
-/// functions over raw word spans: cluster masks live in flat arenas (one
-/// allocation per cluster) rather than in individual Bitmap objects.
+/// Word-span bitmap helpers for compressed cluster matching. A cluster keeps
+/// its survivor bitmap and its dense slot-set masks in one flat arena, so
+/// these are free functions over raw uint64 word spans; the only hybrid
+/// container is the cluster's own SlotSet (src/core/cluster.h), whose sparse,
+/// dense and run forms clear survivors through AndNotWords, per-bit clears
+/// and ClearBitRange.
 ///
-/// The span functions dispatch to the runtime-selected SIMD kernel table
+/// The three kernel-backed functions (AndNotWords, IsZeroWords,
+/// PopCountWords) dispatch to the runtime-selected SIMD kernel table
 /// (src/bitmap/kernels.h) above a small-span threshold; below it an inline
 /// scalar loop avoids the indirect call. Either path computes identical
 /// results — the kernel-oracle suite enforces bit-for-bit equivalence.
@@ -48,24 +48,6 @@ inline void AndNotWords(uint64_t* dst, const uint64_t* src, uint64_t words) {
   bitmap::ActiveKernels().and_not_words(dst, src, words);
 }
 
-/// dst[i] &= src[i] over `words` words.
-inline void AndWords(uint64_t* dst, const uint64_t* src, uint64_t words) {
-  if (words <= kInlineSpanWords) {
-    for (uint64_t i = 0; i < words; ++i) dst[i] &= src[i];
-    return;
-  }
-  bitmap::ActiveKernels().and_words(dst, src, words);
-}
-
-/// dst[i] |= src[i] over `words` words.
-inline void OrWords(uint64_t* dst, const uint64_t* src, uint64_t words) {
-  if (words <= kInlineSpanWords) {
-    for (uint64_t i = 0; i < words; ++i) dst[i] |= src[i];
-    return;
-  }
-  bitmap::ActiveKernels().or_words(dst, src, words);
-}
-
 /// True iff all `words` words are zero.
 inline bool IsZeroWords(const uint64_t* words_ptr, uint64_t words) {
   if (words <= kInlineSpanWords) {
@@ -86,29 +68,6 @@ inline uint64_t PopCountWords(const uint64_t* words_ptr, uint64_t words) {
     return total;
   }
   return bitmap::ActiveKernels().popcount_words(words_ptr, words);
-}
-
-/// Bit index of the lowest set bit across `words` words, or -1 if none.
-inline int64_t FirstSetBit(const uint64_t* words_ptr, uint64_t words) {
-  return bitmap::ActiveKernels().first_set_bit(words_ptr, words);
-}
-
-/// Sets bits [start, start + len) of the span to one. The span must be wide
-/// enough; len == 0 is a no-op.
-inline void SetBitRange(uint64_t* words, uint64_t start, uint64_t len) {
-  if (len == 0) return;
-  const uint64_t last = start + len - 1;
-  const uint64_t w0 = start / 64;
-  const uint64_t w1 = last / 64;
-  const uint64_t first_mask = ~0ULL << (start % 64);
-  const uint64_t last_mask = ~0ULL >> (63 - last % 64);
-  if (w0 == w1) {
-    words[w0] |= first_mask & last_mask;
-    return;
-  }
-  words[w0] |= first_mask;
-  for (uint64_t w = w0 + 1; w < w1; ++w) words[w] = ~0ULL;
-  words[w1] |= last_mask;
 }
 
 /// Clears bits [start, start + len) of the span. The run-length slot-set
@@ -142,97 +101,6 @@ inline void ForEachSetBit(const uint64_t* words_ptr, uint64_t words, Fn fn) {
     }
   }
 }
-
-/// Sets the first `bits` bits of the span to one and any tail bits of the
-/// last word to zero (callers rely on tail bits staying clear).
-inline void FillOnesWords(uint64_t* dst, uint64_t bits) {
-  const uint64_t words = WordsForBits(bits);
-  if (words == 0) return;
-  for (uint64_t i = 0; i + 1 < words; ++i) dst[i] = ~0ULL;
-  const uint64_t tail = bits % 64;
-  dst[words - 1] = tail == 0 ? ~0ULL : (~0ULL >> (64 - tail));
-}
-
-/// Growable owning bitmap. Bits beyond size() in the last word are kept zero.
-class Bitmap {
- public:
-  /// Creates an all-zero bitmap with `bits` bits.
-  explicit Bitmap(uint64_t bits = 0)
-      : bits_(bits), words_(WordsForBits(bits), 0) {}
-
-  uint64_t size() const { return bits_; }
-  uint64_t num_words() const { return words_.size(); }
-  const uint64_t* data() const { return words_.data(); }
-  uint64_t* data() { return words_.data(); }
-
-  /// Resizes to `bits` bits; new bits are zero.
-  void Resize(uint64_t bits) {
-    bits_ = bits;
-    words_.assign(WordsForBits(bits), 0);
-  }
-
-  bool Test(uint64_t i) const {
-    APCM_DCHECK(i < bits_);
-    return (words_[i / 64] >> (i % 64)) & 1;
-  }
-  void Set(uint64_t i) {
-    APCM_DCHECK(i < bits_);
-    words_[i / 64] |= 1ULL << (i % 64);
-  }
-  void Clear(uint64_t i) {
-    APCM_DCHECK(i < bits_);
-    words_[i / 64] &= ~(1ULL << (i % 64));
-  }
-
-  /// Sets all bits to one.
-  void FillOnes() { FillOnesWords(words_.data(), bits_); }
-  /// Sets all bits to zero.
-  void FillZeros() { std::fill(words_.begin(), words_.end(), 0); }
-
-  /// this &= ~other. Sizes must match.
-  void AndNot(const Bitmap& other) {
-    APCM_DCHECK(bits_ == other.bits_);
-    AndNotWords(words_.data(), other.words_.data(), words_.size());
-  }
-  /// this &= other. Sizes must match.
-  void And(const Bitmap& other) {
-    APCM_DCHECK(bits_ == other.bits_);
-    AndWords(words_.data(), other.words_.data(), words_.size());
-  }
-  /// this |= other. Sizes must match.
-  void Or(const Bitmap& other) {
-    APCM_DCHECK(bits_ == other.bits_);
-    OrWords(words_.data(), other.words_.data(), words_.size());
-  }
-
-  bool IsZero() const { return IsZeroWords(words_.data(), words_.size()); }
-  uint64_t Count() const { return PopCountWords(words_.data(), words_.size()); }
-
-  /// Indices of set bits in increasing order.
-  std::vector<uint64_t> ToIndices() const {
-    std::vector<uint64_t> indices;
-    indices.reserve(Count());
-    ForEachSetBit(words_.data(), words_.size(),
-                  [&](uint64_t i) { indices.push_back(i); });
-    return indices;
-  }
-
-  /// "0101..." string, LSB first; for tests and debugging.
-  std::string ToString() const {
-    std::string s;
-    s.reserve(bits_);
-    for (uint64_t i = 0; i < bits_; ++i) s += Test(i) ? '1' : '0';
-    return s;
-  }
-
-  friend bool operator==(const Bitmap& a, const Bitmap& b) {
-    return a.bits_ == b.bits_ && a.words_ == b.words_;
-  }
-
- private:
-  uint64_t bits_;
-  std::vector<uint64_t> words_;
-};
 
 }  // namespace apcm
 

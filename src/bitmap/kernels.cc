@@ -14,18 +14,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. Deliberately plain loops: this is the oracle the
 // vector variants are differentially tested against, so clarity beats
-// cleverness here (the compiler auto-vectorizes the easy ones anyway).
-
-void ScalarAnd(uint64_t* dst, const uint64_t* src, uint64_t words) {
-  for (uint64_t i = 0; i < words; ++i) dst[i] &= src[i];
-}
+// cleverness here (the compiler auto-vectorizes them anyway).
 
 void ScalarAndNot(uint64_t* dst, const uint64_t* src, uint64_t words) {
   for (uint64_t i = 0; i < words; ++i) dst[i] &= ~src[i];
-}
-
-void ScalarOr(uint64_t* dst, const uint64_t* src, uint64_t words) {
-  for (uint64_t i = 0; i < words; ++i) dst[i] |= src[i];
 }
 
 uint64_t ScalarPopCount(const uint64_t* words_ptr, uint64_t words) {
@@ -42,32 +34,11 @@ bool ScalarIsZero(const uint64_t* words_ptr, uint64_t words) {
   return acc == 0;
 }
 
-int64_t ScalarFirstSet(const uint64_t* words_ptr, uint64_t words) {
-  for (uint64_t i = 0; i < words; ++i) {
-    if (words_ptr[i] != 0) {
-      return static_cast<int64_t>(i * 64) + CountTrailingZeros(words_ptr[i]);
-    }
-  }
-  return -1;
-}
-
-uint64_t ScalarCollect(const uint64_t* words_ptr, uint64_t words,
-                       uint32_t base, uint32_t* out) {
-  uint64_t n = 0;
-  for (uint64_t w = 0; w < words; ++w) {
-    uint64_t word = words_ptr[w];
-    while (word != 0) {
-      out[n++] = base + static_cast<uint32_t>(w * 64) +
-                 static_cast<uint32_t>(CountTrailingZeros(word));
-      word &= word - 1;
-    }
-  }
-  return n;
-}
-
 constexpr KernelTable kScalarTable = {
-    ScalarAnd,     ScalarAndNot,   ScalarOr,      ScalarPopCount,
-    ScalarIsZero,  ScalarFirstSet, ScalarCollect, SimdLevel::kScalar,
+    ScalarAndNot,
+    ScalarPopCount,
+    ScalarIsZero,
+    SimdLevel::kScalar,
 };
 
 SimdLevel g_startup_level = SimdLevel::kScalar;

@@ -13,20 +13,20 @@ namespace apcm::bitmap {
 /// \file
 /// Vectorized bitmap kernels with runtime dispatch.
 ///
-/// The hot word-span operations of compressed matching (and, and-not, or,
-/// popcount, zero test, first-set, iterate-set-bits) are implemented once per
-/// instruction-set level and selected at runtime: the best level the CPU
-/// supports wins, overridable with the APCM_SIMD environment variable
-/// ("scalar", "avx2", "avx512", or "auto") for testing and benchmarking.
-/// Every variant is bit-for-bit equivalent to the scalar reference — the
-/// differential suite in tests/bitmap_kernel_test.cc enforces this across
-/// alignments, tail lengths, and adversarial bit patterns.
+/// The three word-span operations compressed matching runs (and-not, which
+/// clears a failing predicate's dense slot mask out of the survivor bitmap;
+/// popcount; and the all-zero test) are implemented once per instruction-set
+/// level and selected at runtime: the best level the CPU supports wins,
+/// overridable with the APCM_SIMD environment variable ("scalar", "avx2",
+/// "avx512", or "auto") for testing and benchmarking. Every variant is
+/// bit-for-bit equivalent to the scalar reference — the differential suite
+/// in tests/bitmap_kernel_test.cc enforces this across alignments, tail
+/// lengths, and adversarial bit patterns.
 ///
-/// Spans are raw uint64 word arrays (cluster masks live in flat arenas, not
-/// Bitmap objects). Kernels accept any alignment and any length, including
-/// zero; lengths that are a multiple of kWordBlock words hit the no-tail
-/// fast path, which is why the cluster layout pads its bitmaps (see
-/// PaddedWords in bitmap.h).
+/// Spans are raw uint64 word arrays (cluster masks live in flat arenas).
+/// Kernels accept any alignment and any length, including zero; lengths
+/// that are a multiple of kWordBlock words hit the no-tail fast path, which
+/// is why the cluster layout pads its bitmaps (see PaddedWords in bitmap.h).
 
 /// Instruction-set levels, in increasing order of capability. The numeric
 /// values are stable (exposed as the apcm_simd_level metric).
@@ -51,23 +51,12 @@ inline constexpr uint64_t kWordBlock = 8;
 /// One implementation of every kernel operation. All operate on `words`
 /// 64-bit words; all tolerate words == 0 and arbitrary alignment.
 struct KernelTable {
-  /// dst[i] &= src[i].
-  void (*and_words)(uint64_t* dst, const uint64_t* src, uint64_t words);
   /// dst[i] &= ~src[i].
   void (*and_not_words)(uint64_t* dst, const uint64_t* src, uint64_t words);
-  /// dst[i] |= src[i].
-  void (*or_words)(uint64_t* dst, const uint64_t* src, uint64_t words);
   /// Total set bits.
   uint64_t (*popcount_words)(const uint64_t* words_ptr, uint64_t words);
   /// True iff every word is zero.
   bool (*is_zero_words)(const uint64_t* words_ptr, uint64_t words);
-  /// Bit index of the lowest set bit, or -1 if the span is zero.
-  int64_t (*first_set_bit)(const uint64_t* words_ptr, uint64_t words);
-  /// Writes the indices of set bits (offset by `base`) to `out` in
-  /// ascending order and returns how many were written. `out` must have
-  /// room for every set bit (popcount of the span).
-  uint64_t (*collect_set_bits)(const uint64_t* words_ptr, uint64_t words,
-                               uint32_t base, uint32_t* out);
   SimdLevel level;
 };
 

@@ -16,19 +16,6 @@ namespace {
 
 #define APCM_TARGET_AVX2 __attribute__((target("avx2")))
 
-APCM_TARGET_AVX2 void Avx2And(uint64_t* dst, const uint64_t* src,
-                              uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(d, s));
-  }
-  for (; i < words; ++i) dst[i] &= src[i];
-}
-
 APCM_TARGET_AVX2 void Avx2AndNot(uint64_t* dst, const uint64_t* src,
                                  uint64_t words) {
   uint64_t i = 0;
@@ -41,19 +28,6 @@ APCM_TARGET_AVX2 void Avx2AndNot(uint64_t* dst, const uint64_t* src,
                         _mm256_andnot_si256(s, d));
   }
   for (; i < words; ++i) dst[i] &= ~src[i];
-}
-
-APCM_TARGET_AVX2 void Avx2Or(uint64_t* dst, const uint64_t* src,
-                             uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(d, s));
-  }
-  for (; i < words; ++i) dst[i] |= src[i];
 }
 
 /// Mula's nibble-LUT popcount: per-byte counts via two pshufb lookups, then
@@ -97,59 +71,13 @@ APCM_TARGET_AVX2 bool Avx2IsZero(const uint64_t* words_ptr, uint64_t words) {
   return acc == 0;
 }
 
-APCM_TARGET_AVX2 int64_t Avx2FirstSet(const uint64_t* words_ptr,
-                                      uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words_ptr + i));
-    if (!_mm256_testz_si256(v, v)) {
-      for (uint64_t w = i; w < i + 4; ++w) {
-        if (words_ptr[w] != 0) {
-          return static_cast<int64_t>(w * 64) +
-                 CountTrailingZeros(words_ptr[w]);
-        }
-      }
-    }
-  }
-  for (; i < words; ++i) {
-    if (words_ptr[i] != 0) {
-      return static_cast<int64_t>(i * 64) + CountTrailingZeros(words_ptr[i]);
-    }
-  }
-  return -1;
-}
-
-/// Block-skipping collect: one vector zero test skips 256 bits of empty
-/// space; nonzero blocks fall back to the scalar bit-extraction loop.
-APCM_TARGET_AVX2 uint64_t Avx2Collect(const uint64_t* words_ptr,
-                                      uint64_t words, uint32_t base,
-                                      uint32_t* out) {
-  uint64_t n = 0;
-  auto extract = [&](uint64_t w) {
-    uint64_t word = words_ptr[w];
-    while (word != 0) {
-      out[n++] = base + static_cast<uint32_t>(w * 64) +
-                 static_cast<uint32_t>(CountTrailingZeros(word));
-      word &= word - 1;
-    }
-  };
-  uint64_t i = 0;
-  for (; i + 4 <= words; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words_ptr + i));
-    if (_mm256_testz_si256(v, v)) continue;
-    for (uint64_t w = i; w < i + 4; ++w) extract(w);
-  }
-  for (; i < words; ++i) extract(i);
-  return n;
-}
-
 #undef APCM_TARGET_AVX2
 
 constexpr KernelTable kAvx2Table = {
-    Avx2And,    Avx2AndNot,   Avx2Or,      Avx2PopCount,
-    Avx2IsZero, Avx2FirstSet, Avx2Collect, SimdLevel::kAvx2,
+    Avx2AndNot,
+    Avx2PopCount,
+    Avx2IsZero,
+    SimdLevel::kAvx2,
 };
 
 }  // namespace

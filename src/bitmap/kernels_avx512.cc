@@ -25,17 +25,6 @@ namespace {
 
 #define APCM_TARGET_AVX512 __attribute__((target("avx512f,avx512bw")))
 
-APCM_TARGET_AVX512 void Avx512And(uint64_t* dst, const uint64_t* src,
-                                  uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_epi64(d, s));
-  }
-  for (; i < words; ++i) dst[i] &= src[i];
-}
-
 APCM_TARGET_AVX512 void Avx512AndNot(uint64_t* dst, const uint64_t* src,
                                      uint64_t words) {
   uint64_t i = 0;
@@ -45,17 +34,6 @@ APCM_TARGET_AVX512 void Avx512AndNot(uint64_t* dst, const uint64_t* src,
     _mm512_storeu_si512(dst + i, _mm512_andnot_epi64(s, d));
   }
   for (; i < words; ++i) dst[i] &= ~src[i];
-}
-
-APCM_TARGET_AVX512 void Avx512Or(uint64_t* dst, const uint64_t* src,
-                                 uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i s = _mm512_loadu_si512(src + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_epi64(d, s));
-  }
-  for (; i < words; ++i) dst[i] |= src[i];
 }
 
 APCM_TARGET_AVX512 uint64_t Avx512PopCount(const uint64_t* words_ptr,
@@ -93,59 +71,13 @@ APCM_TARGET_AVX512 bool Avx512IsZero(const uint64_t* words_ptr,
   return acc == 0;
 }
 
-APCM_TARGET_AVX512 int64_t Avx512FirstSet(const uint64_t* words_ptr,
-                                          uint64_t words) {
-  uint64_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    const __m512i v = _mm512_loadu_si512(words_ptr + i);
-    const __mmask8 nonzero = _mm512_test_epi64_mask(v, v);
-    if (nonzero != 0) {
-      const uint64_t w =
-          i + static_cast<uint64_t>(
-                  CountTrailingZeros(static_cast<uint64_t>(nonzero)));
-      return static_cast<int64_t>(w * 64) + CountTrailingZeros(words_ptr[w]);
-    }
-  }
-  for (; i < words; ++i) {
-    if (words_ptr[i] != 0) {
-      return static_cast<int64_t>(i * 64) + CountTrailingZeros(words_ptr[i]);
-    }
-  }
-  return -1;
-}
-
-/// Block-skipping collect: the per-lane nonzero mask walks straight to the
-/// populated words of each 512-bit block.
-APCM_TARGET_AVX512 uint64_t Avx512Collect(const uint64_t* words_ptr,
-                                          uint64_t words, uint32_t base,
-                                          uint32_t* out) {
-  uint64_t n = 0;
-  auto extract = [&](uint64_t w) {
-    uint64_t word = words_ptr[w];
-    while (word != 0) {
-      out[n++] = base + static_cast<uint32_t>(w * 64) +
-                 static_cast<uint32_t>(CountTrailingZeros(word));
-      word &= word - 1;
-    }
-  };
-  uint64_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    const __m512i v = _mm512_loadu_si512(words_ptr + i);
-    uint64_t nonzero = _mm512_test_epi64_mask(v, v);
-    while (nonzero != 0) {
-      extract(i + static_cast<uint64_t>(CountTrailingZeros(nonzero)));
-      nonzero &= nonzero - 1;
-    }
-  }
-  for (; i < words; ++i) extract(i);
-  return n;
-}
-
 #undef APCM_TARGET_AVX512
 
 constexpr KernelTable kAvx512Table = {
-    Avx512And,    Avx512AndNot,   Avx512Or,      Avx512PopCount,
-    Avx512IsZero, Avx512FirstSet, Avx512Collect, SimdLevel::kAvx512,
+    Avx512AndNot,
+    Avx512PopCount,
+    Avx512IsZero,
+    SimdLevel::kAvx512,
 };
 
 }  // namespace

@@ -80,25 +80,6 @@ class PcmMatcher : public IncrementalMatcher {
   /// tombstones vs. total); engines rebuild above a threshold.
   double DeltaFraction() const override;
 
-  /// True when the matcher holds un-compacted delta state (incremental adds
-  /// or tombstones). Such state is folded by Compact and dropped by Build.
-  bool HasDeltaState() const {
-    return uncompacted_adds_ > 0 || !tombstones_.empty();
-  }
-
-  /// Breakdown of the delta side of the index, for engine reports and the
-  /// incremental-maintenance benchmarks.
-  struct DeltaStats {
-    uint64_t delta_subscriptions = 0;  ///< incremental adds since last Build
-    uint64_t delta_clusters = 0;       ///< compressed side clusters
-    uint64_t pending = 0;              ///< adds awaiting side-cluster build
-    uint64_t tombstones = 0;           ///< removed-but-not-compacted ids
-  };
-  DeltaStats delta_stats() const {
-    return DeltaStats{delta_subs_.size(), delta_clusters_.size(),
-                      delta_pending_.size(), tombstones_.size()};
-  }
-
   /// Folds all delta state back into the main index: clusters containing
   /// tombstoned subscriptions are regrouped (dropping them) together with
   /// every incrementally added subscription, using the configured clustering

@@ -11,8 +11,8 @@
 
 namespace apcm {
 
-/// Instrumentation counters every matcher maintains. These drive the
-/// adaptive cost model, the hot-spot profiler, and the benchmark reports.
+/// Instrumentation counters every matcher maintains. These feed the hot-spot
+/// profiler and the benchmark reports.
 /// Counters are cumulative; callers snapshot/diff.
 struct MatcherStats {
   uint64_t events_matched = 0;     ///< events processed
@@ -28,14 +28,6 @@ struct MatcherStats {
     candidates_checked += other.candidates_checked;
     matches_emitted += other.matches_emitted;
     return *this;
-  }
-
-  /// Abstract work units consumed, the currency of the cost model: one
-  /// predicate evaluation ≈ one unit, one bitmap word ≈ 1/4 unit (a masked
-  /// and-not is far cheaper than a predicate compare+branch).
-  double WorkUnits() const {
-    return static_cast<double>(predicate_evals) +
-           0.25 * static_cast<double>(bitmap_words);
   }
 };
 

@@ -1,9 +1,8 @@
 // Differential kernel-oracle suite: every SIMD kernel variant the host can
 // run must be bit-for-bit identical to the scalar reference on every word
-// alignment, tail length, and adversarial bit pattern — plus the hybrid
-// container against the plain Bitmap, including promotion boundaries, and
-// the dispatch machinery itself (APCM_SIMD startup override, runtime level
-// switching). The ctest registrations run this binary once per APCM_SIMD
+// alignment, tail length, and adversarial bit pattern — plus the bitmap.h
+// wrappers and range helper against plain loops, and the dispatch machinery
+// itself (APCM_SIMD startup override, runtime level switching). The ctest registrations run this binary once per APCM_SIMD
 // value so the wrapper fast paths are exercised under every forced level.
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 
 #include "src/base/rng.h"
 #include "src/bitmap/bitmap.h"
-#include "src/bitmap/container.h"
 #include "src/bitmap/kernels.h"
 
 namespace apcm::bitmap {
@@ -97,25 +95,12 @@ TEST(KernelOracleTest, BinaryOpsMatchScalar) {
   const KernelTable& oracle = ScalarKernels();
   ForEachOracleCase([&](const KernelTable& table, const uint64_t* a,
                         const uint64_t* b, uint64_t words) {
-    const std::vector<uint64_t> da(a, a + words);
-    std::vector<uint64_t> expect = da;
-    std::vector<uint64_t> got = da;
-    oracle.and_words(expect.data(), b, words);
-    table.and_words(got.data(), b, words);
-    ASSERT_EQ(got, expect) << "and_words level "
-                           << SimdLevelName(table.level) << " words " << words;
-    expect = da;
-    got = da;
+    std::vector<uint64_t> expect(a, a + words);
+    std::vector<uint64_t> got(a, a + words);
     oracle.and_not_words(expect.data(), b, words);
     table.and_not_words(got.data(), b, words);
     ASSERT_EQ(got, expect) << "and_not_words level "
                            << SimdLevelName(table.level) << " words " << words;
-    expect = da;
-    got = da;
-    oracle.or_words(expect.data(), b, words);
-    table.or_words(got.data(), b, words);
-    ASSERT_EQ(got, expect) << "or_words level " << SimdLevelName(table.level)
-                           << " words " << words;
   });
 }
 
@@ -129,24 +114,6 @@ TEST(KernelOracleTest, ReductionsMatchScalar) {
     ASSERT_EQ(table.is_zero_words(a, words), oracle.is_zero_words(a, words))
         << "is_zero level " << SimdLevelName(table.level) << " words "
         << words;
-    ASSERT_EQ(table.first_set_bit(a, words), oracle.first_set_bit(a, words))
-        << "first_set level " << SimdLevelName(table.level) << " words "
-        << words;
-  });
-}
-
-TEST(KernelOracleTest, CollectMatchesScalar) {
-  const KernelTable& oracle = ScalarKernels();
-  ForEachOracleCase([&](const KernelTable& table, const uint64_t* a,
-                        const uint64_t* /*b*/, uint64_t words) {
-    const uint64_t bits = oracle.popcount_words(a, words);
-    std::vector<uint32_t> expect(bits + 1, 0xDEADBEEF);
-    std::vector<uint32_t> got(bits + 1, 0xDEADBEEF);
-    const uint64_t ne = oracle.collect_set_bits(a, words, 100, expect.data());
-    const uint64_t ng = table.collect_set_bits(a, words, 100, got.data());
-    ASSERT_EQ(ng, ne) << "collect count level " << SimdLevelName(table.level);
-    ASSERT_EQ(got, expect) << "collect level " << SimdLevelName(table.level)
-                           << " words " << words;
   });
 }
 
@@ -170,8 +137,6 @@ TEST(KernelOracleTest, WrapperFunctionsAgreeWithActiveTable) {
               ActiveKernels().popcount_words(a.data(), words));
     EXPECT_EQ(IsZeroWords(a.data(), words),
               ActiveKernels().is_zero_words(a.data(), words));
-    EXPECT_EQ(FirstSetBit(a.data(), words),
-              ActiveKernels().first_set_bit(a.data(), words));
   }
 }
 
@@ -182,23 +147,16 @@ TEST(KernelOracleTest, BitRangeHelpersMatchBitLoops) {
       for (uint64_t len : {uint64_t{0}, uint64_t{1}, uint64_t{13},
                            uint64_t{64}, bits - start}) {
         if (start + len > bits) continue;
-        Bitmap expect(bits);
-        expect.FillOnes();
-        for (uint64_t i = start; i < start + len; ++i) expect.Clear(i);
-        std::vector<uint64_t> got(words);
-        FillOnesWords(got.data(), bits);
+        // The first `bits` bits set, the tail of the last word clear.
+        std::vector<uint64_t> expect(words, 0);
+        for (uint64_t i = 0; i < bits; ++i) expect[i / 64] |= 1ULL << (i % 64);
+        std::vector<uint64_t> got = expect;
+        for (uint64_t i = start; i < start + len; ++i) {
+          expect[i / 64] &= ~(1ULL << (i % 64));
+        }
         ClearBitRange(got.data(), start, len);
-        ASSERT_TRUE(
-            std::equal(got.begin(), got.end(), expect.data()))
+        ASSERT_EQ(got, expect)
             << "clear bits=" << bits << " start=" << start << " len=" << len;
-
-        Bitmap expect_set(bits);
-        for (uint64_t i = start; i < start + len; ++i) expect_set.Set(i);
-        std::vector<uint64_t> got_set(words, 0);
-        SetBitRange(got_set.data(), start, len);
-        ASSERT_TRUE(
-            std::equal(got_set.begin(), got_set.end(), expect_set.data()))
-            << "set bits=" << bits << " start=" << start << " len=" << len;
       }
     }
   }
@@ -261,135 +219,6 @@ TEST(SimdDispatchTest, ParseRejectsUnknownNames) {
   EXPECT_EQ(*ParseSimdLevel("scalar"), SimdLevel::kScalar);
   EXPECT_EQ(*ParseSimdLevel("avx2"), SimdLevel::kAvx2);
   EXPECT_EQ(*ParseSimdLevel("avx512"), SimdLevel::kAvx512);
-}
-
-// ---------------------------------------------------------------------------
-// Hybrid container vs. plain Bitmap oracle.
-
-TEST(HybridBitmapTest, StartsEmptyArray) {
-  HybridBitmap h(1000);
-  EXPECT_EQ(h.kind(), HybridBitmap::Kind::kArray);
-  EXPECT_TRUE(h.Empty());
-  EXPECT_EQ(h.Count(), 0u);
-  EXPECT_TRUE(h.ToIndices().empty());
-}
-
-TEST(HybridBitmapTest, PromotesAtBoundaryAndDemotesWithHysteresis) {
-  HybridBitmap h(4096);
-  for (uint32_t i = 0; i < HybridBitmap::kArrayMax; ++i) h.Add(i * 3);
-  EXPECT_EQ(h.kind(), HybridBitmap::Kind::kArray);
-  h.Add(HybridBitmap::kArrayMax * 3);  // one past the array limit
-  EXPECT_EQ(h.kind(), HybridBitmap::Kind::kBitset);
-  EXPECT_EQ(h.Count(), HybridBitmap::kArrayMax + 1);
-  // Removing back to exactly the promote point must NOT demote (hysteresis);
-  // dropping below kArrayDemote must.
-  while (h.Count() >= HybridBitmap::kArrayDemote) {
-    h.Remove(h.ToIndices().back());
-    if (h.Count() >= HybridBitmap::kArrayDemote) {
-      EXPECT_EQ(h.kind(), HybridBitmap::Kind::kBitset) << h.Count();
-    }
-  }
-  EXPECT_EQ(h.kind(), HybridBitmap::Kind::kArray);
-}
-
-TEST(HybridBitmapTest, OptimizePicksRunForContiguousBlocks) {
-  HybridBitmap h(10000);
-  for (uint32_t i = 500; i < 3000; ++i) h.Add(i);
-  ASSERT_EQ(h.kind(), HybridBitmap::Kind::kBitset);
-  h.Optimize();
-  EXPECT_EQ(h.kind(), HybridBitmap::Kind::kRun);
-  EXPECT_EQ(h.Count(), 2500u);
-  EXPECT_TRUE(h.Test(500));
-  EXPECT_TRUE(h.Test(2999));
-  EXPECT_FALSE(h.Test(499));
-  EXPECT_FALSE(h.Test(3000));
-  // Mutating a run container falls back to bitset, correctly.
-  h.Add(5000);
-  EXPECT_EQ(h.Count(), 2501u);
-  EXPECT_TRUE(h.Test(5000));
-}
-
-TEST(HybridBitmapTest, DifferentialAgainstBitmapOracle) {
-  // Random add/remove churn across the promotion boundaries with periodic
-  // Optimize() repacks; the container must track the Bitmap oracle exactly,
-  // and its span ops must equal whole-bitmap ops.
-  constexpr uint32_t kUniverse = 700;
-  Rng rng(20260808);
-  HybridBitmap h(kUniverse);
-  Bitmap oracle(kUniverse);
-  uint64_t count = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const auto i = static_cast<uint32_t>(rng.Uniform(kUniverse));
-    // Bias toward adds so the set crosses kArrayMax repeatedly.
-    if (rng.Uniform(3) != 0) {
-      if (!oracle.Test(i)) ++count;
-      h.Add(i);
-      oracle.Set(i);
-    } else {
-      if (oracle.Test(i)) --count;
-      h.Remove(i);
-      oracle.Clear(i);
-    }
-    if (step % 997 == 0) h.Optimize();
-    ASSERT_EQ(h.Count(), count) << "step " << step;
-    ASSERT_EQ(h.Test(i), oracle.Test(i));
-  }
-  // Full membership agreement.
-  const auto indices = h.ToIndices();
-  const auto expected = oracle.ToIndices();
-  ASSERT_EQ(indices.size(), expected.size());
-  for (size_t k = 0; k < indices.size(); ++k) {
-    ASSERT_EQ(indices[k], expected[k]);
-  }
-
-  // Span ops against a random target must equal Bitmap algebra. The span is
-  // padded; tail bits beyond the universe stay zero in ToWords output.
-  const uint64_t span = PaddedWords(kUniverse);
-  for (auto op : {0, 1, 2}) {
-    std::vector<uint64_t> target(span);
-    Bitmap target_oracle(kUniverse);
-    for (uint32_t i = 0; i < kUniverse; ++i) {
-      if (rng.Uniform(2) == 0) {
-        target[i / 64] |= 1ULL << (i % 64);
-        target_oracle.Set(i);
-      }
-    }
-    std::vector<uint64_t> self(span);
-    h.ToWords(self.data(), span);
-    Bitmap self_bitmap(kUniverse);
-    for (uint32_t i : h.ToIndices()) self_bitmap.Set(i);
-    switch (op) {
-      case 0:
-        h.AndNotInto(target.data(), span);
-        target_oracle.AndNot(self_bitmap);
-        break;
-      case 1:
-        h.AndInto(target.data(), span);
-        target_oracle.And(self_bitmap);
-        break;
-      case 2:
-        h.OrInto(target.data(), span);
-        target_oracle.Or(self_bitmap);
-        break;
-    }
-    for (uint32_t i = 0; i < kUniverse; ++i) {
-      ASSERT_EQ((target[i / 64] >> (i % 64)) & 1,
-                static_cast<uint64_t>(target_oracle.Test(i)))
-          << "op " << op << " bit " << i;
-    }
-  }
-}
-
-TEST(HybridBitmapTest, EqualityIsRepresentationIndependent) {
-  HybridBitmap a(512);
-  HybridBitmap b(512);
-  for (uint32_t i = 100; i < 200; ++i) a.Add(i);
-  for (uint32_t i = 100; i < 200; ++i) b.Add(i);
-  a.Optimize();  // run form
-  ASSERT_NE(a.kind(), b.kind());
-  EXPECT_TRUE(a == b);
-  b.Add(300);
-  EXPECT_FALSE(a == b);
 }
 
 }  // namespace

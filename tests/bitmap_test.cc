@@ -4,109 +4,17 @@
 
 #include <vector>
 
-#include "src/base/rng.h"
-
 namespace apcm {
 namespace {
 
-TEST(BitmapTest, EmptyBitmap) {
-  Bitmap b;
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(b.num_words(), 0u);
-  EXPECT_TRUE(b.IsZero());
-  EXPECT_EQ(b.Count(), 0u);
-}
-
-TEST(BitmapTest, SetTestClear) {
-  Bitmap b(130);
-  EXPECT_FALSE(b.Test(0));
-  b.Set(0);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  EXPECT_EQ(b.Count(), 3u);
-  b.Clear(64);
-  EXPECT_FALSE(b.Test(64));
-  EXPECT_EQ(b.Count(), 2u);
-}
-
-TEST(BitmapTest, FillOnesKeepsTailClear) {
-  for (uint64_t bits : {1ULL, 63ULL, 64ULL, 65ULL, 127ULL, 128ULL, 130ULL}) {
-    Bitmap b(bits);
-    b.FillOnes();
-    EXPECT_EQ(b.Count(), bits) << "bits=" << bits;
-    for (uint64_t i = 0; i < bits; ++i) EXPECT_TRUE(b.Test(i));
-    // Tail bits beyond size must be zero (word-level invariants).
-    if (bits % 64 != 0) {
-      const uint64_t last = b.data()[b.num_words() - 1];
-      EXPECT_EQ(last >> (bits % 64), 0u) << "bits=" << bits;
-    }
-  }
-}
-
-TEST(BitmapTest, AndNotClearsSharedBits) {
-  Bitmap a(100);
-  Bitmap b(100);
-  a.FillOnes();
-  b.Set(3);
-  b.Set(99);
-  a.AndNot(b);
-  EXPECT_EQ(a.Count(), 98u);
-  EXPECT_FALSE(a.Test(3));
-  EXPECT_FALSE(a.Test(99));
-  EXPECT_TRUE(a.Test(0));
-}
-
-TEST(BitmapTest, AndOr) {
-  Bitmap a(10);
-  Bitmap b(10);
-  a.Set(1);
-  a.Set(2);
-  b.Set(2);
-  b.Set(3);
-  Bitmap a_and = a;
-  a_and.And(b);
-  EXPECT_EQ(a_and.ToIndices(), (std::vector<uint64_t>{2}));
-  Bitmap a_or = a;
-  a_or.Or(b);
-  EXPECT_EQ(a_or.ToIndices(), (std::vector<uint64_t>{1, 2, 3}));
-}
-
 TEST(BitmapTest, ForEachSetBitOrdered) {
-  Bitmap b(200);
   const std::vector<uint64_t> indices = {0, 5, 63, 64, 65, 128, 199};
-  for (uint64_t i : indices) b.Set(i);
-  EXPECT_EQ(b.ToIndices(), indices);
-}
-
-TEST(BitmapTest, ToStringLsbFirst) {
-  Bitmap b(5);
-  b.Set(1);
-  b.Set(4);
-  EXPECT_EQ(b.ToString(), "01001");
-}
-
-TEST(BitmapTest, Equality) {
-  Bitmap a(70);
-  Bitmap b(70);
-  EXPECT_EQ(a, b);
-  a.Set(69);
-  EXPECT_FALSE(a == b);
-  b.Set(69);
-  EXPECT_EQ(a, b);
-  Bitmap c(71);
-  EXPECT_FALSE(a == c);  // different sizes
-}
-
-TEST(BitmapTest, ResizeZeroes) {
-  Bitmap b(10);
-  b.FillOnes();
-  b.Resize(100);
-  EXPECT_EQ(b.size(), 100u);
-  EXPECT_TRUE(b.IsZero());
+  std::vector<uint64_t> words(WordsForBits(200), 0);
+  for (uint64_t i : indices) words[i / 64] |= 1ULL << (i % 64);
+  std::vector<uint64_t> visited;
+  ForEachSetBit(words.data(), words.size(),
+                [&](uint64_t i) { visited.push_back(i); });
+  EXPECT_EQ(visited, indices);
 }
 
 TEST(BitmapWordsTest, WordsForBits) {
@@ -114,37 +22,6 @@ TEST(BitmapWordsTest, WordsForBits) {
   EXPECT_EQ(WordsForBits(1), 1u);
   EXPECT_EQ(WordsForBits(64), 1u);
   EXPECT_EQ(WordsForBits(65), 2u);
-}
-
-TEST(BitmapWordsTest, RawKernelsMatchBitmapOps) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    const uint64_t bits = 1 + rng.Uniform(300);
-    Bitmap a(bits);
-    Bitmap b(bits);
-    for (uint64_t i = 0; i < bits; ++i) {
-      if (rng.Bernoulli(0.5)) a.Set(i);
-      if (rng.Bernoulli(0.5)) b.Set(i);
-    }
-    // Reference via per-bit ops.
-    Bitmap expected(bits);
-    for (uint64_t i = 0; i < bits; ++i) {
-      if (a.Test(i) && !b.Test(i)) expected.Set(i);
-    }
-    Bitmap actual = a;
-    AndNotWords(actual.data(), b.data(), actual.num_words());
-    EXPECT_EQ(actual, expected);
-    EXPECT_EQ(PopCountWords(a.data(), a.num_words()), a.Count());
-    EXPECT_EQ(IsZeroWords(a.data(), a.num_words()), a.Count() == 0);
-  }
-}
-
-TEST(BitmapWordsTest, FillOnesWordsPartialTail) {
-  std::vector<uint64_t> words(3, 0xDEADBEEFDEADBEEFULL);
-  FillOnesWords(words.data(), 130);
-  EXPECT_EQ(words[0], ~0ULL);
-  EXPECT_EQ(words[1], ~0ULL);
-  EXPECT_EQ(words[2], 0b11ULL);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/bitmap/bitmap.h"
 #include "tests/matcher_test_util.h"
 
@@ -265,6 +266,55 @@ TEST_P(ClusterWidthTest, AllPathsAgreeAtBoundaryWidths) {
 INSTANTIATE_TEST_SUITE_P(Boundaries, ClusterWidthTest,
                          ::testing::Values(1u, 2u, 63u, 64u, 65u, 127u, 128u,
                                            129u, 192u, 255u, 256u));
+
+// The cluster's SlotSet is the one hybrid container in the codebase: a
+// hand-built cluster whose distinct predicates land in all three forms must
+// still match exactly like lazy and per-subscription evaluation. Runs start
+// and end mid-word, so this is the cluster-level check of the run form's
+// ClearBitRange path.
+TEST(ClusterTest, SlotSetFormsAllMatchLazyAndScan) {
+  // 8 words wide, so a slot set of at most 4 runs takes the run form.
+  constexpr SubscriptionId kSubs = 512;
+  std::vector<BooleanExpression> subs;
+  for (SubscriptionId i = 0; i < kSubs; ++i) {
+    // attr 0: three contiguous slot ranges, one predicate each -> run form.
+    const Predicate range = i < 100   ? Predicate(0, 0, 9)
+                            : i < 300 ? Predicate(0, 5, 14)
+                                      : Predicate(0, 10, 19);
+    // attr 1: every third slot shares a value -> too many runs -> dense.
+    std::vector<Predicate> preds = {
+        range, Predicate(1, Op::kEq, static_cast<Value>(i % 3))};
+    // attr 2: pairs of slots among the first eight -> sparse slot lists.
+    if (i < 8) {
+      preds.push_back(Predicate(2, Op::kLe, static_cast<Value>(i / 2)));
+    }
+    subs.push_back(BooleanExpression::Create(i, preds).value());
+  }
+  const auto cluster = CompressedCluster::Build(Pointers(subs));
+  const auto forms = cluster.slot_set_stats();
+  EXPECT_GT(forms.sparse, 0u);
+  EXPECT_GT(forms.dense, 0u);
+  EXPECT_GT(forms.run, 0u);
+
+  Rng rng(4242);
+  uint64_t total_matches = 0;
+  for (int e = 0; e < 300; ++e) {
+    std::vector<Event::Entry> entries = {
+        {0, static_cast<Value>(rng.Uniform(20))}};
+    if (rng.Uniform(8) != 0) {
+      entries.push_back({1, static_cast<Value>(rng.Uniform(3))});
+    }
+    if (rng.Uniform(2) != 0) {
+      entries.push_back({2, static_cast<Value>(rng.Uniform(5))});
+    }
+    const Event event = Event::Create(entries).value();
+    const auto expected = ScanMatches(subs, event);
+    total_matches += expected.size();
+    EXPECT_EQ(CompressedMatches(cluster, event), expected) << event.ToString();
+    EXPECT_EQ(LazyMatches(cluster, event), expected) << event.ToString();
+  }
+  EXPECT_GT(total_matches, 0u);
+}
 
 TEST(ClusterTest, AttributesAccessorSorted) {
   std::vector<BooleanExpression> subs;

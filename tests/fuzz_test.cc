@@ -15,8 +15,6 @@
 #include "src/base/file_io.h"
 #include "src/base/rng.h"
 #include "src/be/parser.h"
-#include "src/bitmap/bitmap.h"
-#include "src/bitmap/container.h"
 #include "src/bitmap/kernels.h"
 #include "src/engine/engine.h"
 #include "src/index/scan.h"
@@ -266,77 +264,16 @@ TEST_P(KernelFuzzTest, AllVariantsAgreeOnRandomSpans) {
 
     for (const bitmap::SimdLevel level : levels) {
       const auto& table = bitmap::KernelsFor(level);
-      for (int op = 0; op < 3; ++op) {
-        std::vector<uint64_t> want(pa, pa + words);
-        std::vector<uint64_t> got(pa, pa + words);
-        if (op == 0) {
-          oracle.and_words(want.data(), pb, words);
-          table.and_words(got.data(), pb, words);
-        } else if (op == 1) {
-          oracle.and_not_words(want.data(), pb, words);
-          table.and_not_words(got.data(), pb, words);
-        } else {
-          oracle.or_words(want.data(), pb, words);
-          table.or_words(got.data(), pb, words);
-        }
-        ASSERT_EQ(got, want) << "op " << op << " level "
-                             << bitmap::SimdLevelName(level) << " words "
-                             << words << " offset " << offset;
-      }
+      std::vector<uint64_t> want(pa, pa + words);
+      std::vector<uint64_t> got(pa, pa + words);
+      oracle.and_not_words(want.data(), pb, words);
+      table.and_not_words(got.data(), pb, words);
+      ASSERT_EQ(got, want) << "and_not level " << bitmap::SimdLevelName(level)
+                           << " words " << words << " offset " << offset;
       ASSERT_EQ(table.popcount_words(pa, words),
                 oracle.popcount_words(pa, words));
       ASSERT_EQ(table.is_zero_words(pa, words),
                 oracle.is_zero_words(pa, words));
-      ASSERT_EQ(table.first_set_bit(pa, words),
-                oracle.first_set_bit(pa, words));
-      const uint64_t bits = oracle.popcount_words(pa, words);
-      std::vector<uint32_t> want_idx(bits + 1, ~0u);
-      std::vector<uint32_t> got_idx(bits + 1, ~0u);
-      ASSERT_EQ(table.collect_set_bits(pa, words, 0, got_idx.data()),
-                oracle.collect_set_bits(pa, words, 0, want_idx.data()));
-      ASSERT_EQ(got_idx, want_idx);
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, ContainerChurnTracksOracle) {
-  // Random promote/demote churn on the hybrid container with a Bitmap as
-  // oracle; random Optimize() calls force transitions through all three
-  // representations.
-  const uint64_t seed = GetParam() ^ 0xC0117;
-  SCOPED_TRACE("failing seed = " + std::to_string(seed));
-  Rng rng(seed);
-  const uint32_t universe =
-      64 + static_cast<uint32_t>(rng.Uniform(2000));
-  bitmap::HybridBitmap h(universe);
-  Bitmap oracle(universe);
-  const size_t steps = SoakOps() * 20;
-  for (size_t step = 0; step < steps; ++step) {
-    const auto i = static_cast<uint32_t>(rng.Uniform(universe));
-    if (rng.Bernoulli(0.6)) {
-      h.Add(i);
-      oracle.Set(i);
-    } else if (rng.Bernoulli(0.1)) {
-      // Contiguous block add — steers the set toward run-friendly shapes.
-      const uint32_t len =
-          static_cast<uint32_t>(rng.Uniform(64)) + 1;
-      for (uint32_t k = i; k < std::min(universe, i + len); ++k) {
-        h.Add(k);
-        oracle.Set(k);
-      }
-    } else {
-      h.Remove(i);
-      oracle.Clear(i);
-    }
-    if (rng.Bernoulli(0.01)) h.Optimize();
-    if (step % 256 == 0) {
-      ASSERT_EQ(h.Count(), oracle.Count()) << "step " << step;
-      const auto got = h.ToIndices();
-      const auto want = oracle.ToIndices();
-      ASSERT_EQ(got.size(), want.size()) << "step " << step;
-      for (size_t k = 0; k < got.size(); ++k) {
-        ASSERT_EQ(got[k], want[k]) << "step " << step;
-      }
     }
   }
 }

@@ -422,7 +422,8 @@ TEST_P(SimdAgreementTest, MatchDigestsIdenticalUnderEveryKernelLevel) {
         << "4-thread a-pcm digest diverges under "
         << bitmap::SimdLevelName(level) << " kernels on case '"
         << test_case.name << "'";
-    // SCAN itself also runs through Bitmap word ops; include it.
+    // SCAN calls no bitmap code, so its digest must not move with the
+    // kernel level either: a control for the checks above.
     index::ScanMatcher rescan;
     ASSERT_EQ(DigestRows(RunMatcher(rescan, workload)), expected_digest)
         << "scan digest diverges under " << bitmap::SimdLevelName(level);

@@ -437,22 +437,26 @@ TEST(NetServerTest, SlowConsumerIsDisconnected) {
 
   Client lagger;
   ASSERT_TRUE(lagger.Connect("127.0.0.1", server.port()).ok());
-  // 100 catch-all subscriptions make each MATCH frame ~800 bytes, so the
-  // outbox bound trips after the kernel socket buffer fills instead of
-  // needing hundreds of thousands of events.
+  // 100 catch-all subscriptions make each MATCH frame 824 bytes, so five
+  // frames queued ahead of the I/O thread's flush exceed the 4096-byte
+  // bound; without such a burst the bound trips once the kernel socket
+  // buffers are full.
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(lagger.Subscribe(i, "a0 >= 0").ok());
   }
 
   Client publisher;
   ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
-  // The lagger never reads: its kernel buffer and then its server-side
-  // outbox fill until the bound trips. Publish until the server reaps it.
+  // The lagger never reads, so its outbox eventually overflows. Publish
+  // until the server reaps it. The counter is read
+  // once per 64 publishes: a registry Collect per publish would set the
+  // pace (and, under TSan, use up most of the deadline) by itself.
   const MetricsRegistry& registry = server.engine().metrics_registry();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   int64_t i = 0;
-  while (CounterValue(registry,
+  while (i % 64 != 0 ||
+         CounterValue(registry,
                       "apcm_net_slow_consumer_disconnects_total") == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     auto id = publisher.Publish(Event::Create({{0, i++ % 100}}).value());

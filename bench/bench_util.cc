@@ -91,6 +91,8 @@ ThroughputResult Measure(Matcher& matcher, const workload::Workload& workload,
   result.stats.candidates_checked =
       after.candidates_checked - before.candidates_checked;
   result.stats.matches_emitted = after.matches_emitted - before.matches_emitted;
+  result.stats.clusters_visited =
+      after.clusters_visited - before.clusters_visited;
   return result;
 }
 
@@ -269,6 +271,8 @@ void BenchJsonWriter::AddThroughput(const std::string& bench,
       {"predicate_evals", static_cast<double>(result.stats.predicate_evals)},
       {"candidates_checked",
        static_cast<double>(result.stats.candidates_checked)},
+      {"clusters_visited",
+       static_cast<double>(result.stats.clusters_visited)},
   };
   records_.push_back(std::move(record));
 }

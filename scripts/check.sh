@@ -76,10 +76,12 @@ run_tsan() {
     --gtest_repeat="${repeat}" --gtest_brief=1
   # Cluster-parallel matching under TSan: the PCM suite's multi-threaded
   # configurations and the agreement suite's threaded matcher and engine
-  # oracles (2 and 4 worker threads) against SCAN. Two passes of the
-  # differential set are plenty under TSan.
+  # oracles (2 and 4 worker threads) against SCAN, plus the dispatch
+  # differential (stripes over the visited clusters at 4 threads). Two
+  # passes of the differential set are plenty under TSan.
   run_tsan_gtest "./${build_dir}/tests/pcm_test" \
-    --gtest_filter='*PcmRandomTest*' --gtest_repeat=2 --gtest_brief=1
+    --gtest_filter='*PcmRandomTest*:*PcmDispatchTest*' --gtest_repeat=2 \
+    --gtest_brief=1
   run_tsan_gtest "./${build_dir}/tests/matcher_agreement_test" \
     --gtest_filter='*Threaded*' --gtest_repeat=2 --gtest_brief=1
   # The network stack end-to-end (I/O thread + pump thread + match-callback

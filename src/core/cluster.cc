@@ -17,8 +17,9 @@ constexpr uint32_t kZeroCheckInterval = 8;
 
 /// At or below this many phase-1 survivors, MatchPresent short-circuits the
 /// surviving subscriptions individually instead of streaming the cluster's
-/// distinct predicates.
+/// distinct predicates. A cluster this small skips phase 1's counting.
 constexpr uint64_t kLazySurvivorThreshold = 16;
+static_assert(kLazySurvivorThreshold < 64, "tiny clusters fit in one word");
 
 /// Per-thread counter scratch for the counting-based absence phase. Sized to
 /// the largest cluster seen by this thread. Each entry packs
@@ -213,20 +214,32 @@ CompressedCluster::SlotSetStats CompressedCluster::slot_set_stats() const {
 }
 
 bool CompressedCluster::HasRequiredAttributes(const Event& event) const {
-  // Merge-join the (short) sorted required list against the event entries.
+  // Binary-search each (sorted) required attribute in the rest of the
+  // sorted entries: required lists are short and often hold rare attributes
+  // near the end of the event, where a linear merge would walk every entry.
   const auto& entries = event.entries();
-  size_t e = 0;
+  auto it = entries.begin();
   for (const AttributeId attr : required_attrs_) {
-    while (e < entries.size() && entries[e].attr < attr) ++e;
-    if (e == entries.size() || entries[e].attr != attr) return false;
+    it = std::lower_bound(it, entries.end(), attr,
+                          [](const Event::Entry& entry, AttributeId a) {
+                            return entry.attr < a;
+                          });
+    if (it == entries.end() || it->attr != attr) return false;
   }
   return true;
 }
 
 bool CompressedCluster::ComputeAbsence(const Event& event, uint64_t* result,
                                        MatcherStats* stats) const {
-  std::fill(result, result + words_, 0);
   if (!HasRequiredAttributes(event)) return false;
+  std::fill(result, result + words_, 0);
+  if (num_subs_ <= kLazySurvivorThreshold) {
+    // MatchPresent short-circuits this few survivors one by one, and that
+    // evaluation checks each subscription's attributes itself: counting
+    // coverage first would only repeat the work, so every slot survives.
+    result[0] = (1ULL << num_subs_) - 1;
+    return num_subs_ != 0;
+  }
   bool any = false;
   for (const uint32_t slot : always_alive_) {
     result[slot / 64] |= 1ULL << (slot % 64);
@@ -311,8 +324,8 @@ bool CompressedCluster::MatchPresent(const Event& event, uint64_t* result,
 
 bool CompressedCluster::MatchLazy(const Event& event, uint64_t* result,
                                   MatcherStats* stats) const {
-  std::fill(result, result + words_, 0);
   if (!HasRequiredAttributes(event)) return false;
+  std::fill(result, result + words_, 0);
   stats->bitmap_words += words_;
   uint64_t evals = 0;
   bool any = false;
@@ -339,6 +352,15 @@ std::vector<AttributeId> CompressedCluster::Attributes() const {
   attrs.reserve(groups_.size());
   for (const Group& group : groups_) attrs.push_back(group.attr);
   return attrs;
+}
+
+std::vector<uint32_t> CompressedCluster::AttributeSubscribers() const {
+  std::vector<uint32_t> counts;
+  counts.reserve(groups_.size());
+  for (const Group& group : groups_) {
+    counts.push_back(group.attr_slots_end - group.attr_slots_begin);
+  }
+  return counts;
 }
 
 uint64_t CompressedCluster::MemoryBytes() const {

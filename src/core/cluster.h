@@ -92,6 +92,11 @@ class CompressedCluster {
   /// (words() words). Returns false if every slot is already eliminated.
   /// Uses a small thread-local counter scratch internally; safe to call
   /// concurrently from multiple threads on the same cluster.
+  ///
+  /// Every matching entry point shares one contract: `result` is defined
+  /// only when the call returns true. A false return may leave it unwritten
+  /// (the required-attribute reject touches no result word), so callers read
+  /// or copy `result` only after a true return.
   bool ComputeAbsence(const Event& event, uint64_t* result,
                       MatcherStats* stats) const;
 
@@ -135,8 +140,16 @@ class CompressedCluster {
     return required_attrs_;
   }
 
+  /// True iff the event carries every required attribute (always true for
+  /// a cluster without required attributes).
+  bool HasRequiredAttributes(const Event& event) const;
+
   /// Sorted attributes constrained by at least one subscription.
   std::vector<AttributeId> Attributes() const;
+
+  /// For each attribute of Attributes(), in the same order, how many of the
+  /// cluster's subscriptions constrain it.
+  std::vector<uint32_t> AttributeSubscribers() const;
 
   /// Approximate heap bytes of the compressed structures.
   uint64_t MemoryBytes() const;
@@ -178,9 +191,6 @@ class CompressedCluster {
 
   void ClearSlots(const SlotSet& set, uint64_t* result,
                   MatcherStats* stats) const;
-
-  /// True iff the event carries every required attribute.
-  bool HasRequiredAttributes(const Event& event) const;
 
   uint32_t num_subs_ = 0;
   uint64_t words_ = 0;

@@ -91,6 +91,59 @@ void PcmMatcher::InitRuntime() {
     state->absence.assign(max_words_, 0);
     thread_states_.push_back(std::move(state));
   }
+  BuildDispatch();
+}
+
+void PcmMatcher::BuildDispatch() {
+  // How many subscriptions constrain each attribute — the statistic the
+  // kPivot builder picks pivots by, so the key below is the pivot there.
+  std::vector<uint64_t> frequency;
+  for (const CompressedCluster& cluster : clusters_) {
+    const std::vector<AttributeId> attrs = cluster.Attributes();
+    const std::vector<uint32_t> subscribers = cluster.AttributeSubscribers();
+    if (!attrs.empty() && attrs.back() >= frequency.size()) {
+      frequency.resize(size_t{attrs.back()} + 1, 0);
+    }
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      frequency[attrs[i]] += subscribers[i];
+    }
+  }
+  // Key each cluster on its least frequent required attribute (ties to the
+  // larger id, as the pivot rule breaks them).
+  constexpr uint32_t kNoKey = UINT32_MAX;
+  std::vector<uint32_t> keys(clusters_.size(), kNoKey);
+  always_visit_.clear();
+  uint32_t num_keys = 0;
+  for (size_t c = 0; c < clusters_.size(); ++c) {
+    const std::vector<AttributeId>& required =
+        clusters_[c].required_attributes();
+    if (required.empty()) {
+      always_visit_.push_back(static_cast<uint32_t>(c));
+      continue;
+    }
+    AttributeId key = required.front();
+    for (const AttributeId attr : required) {
+      if (frequency[attr] <= frequency[key]) key = attr;
+    }
+    keys[c] = key;
+    num_keys = std::max(num_keys, key + 1);
+  }
+  dispatch_offsets_.assign(size_t{num_keys} + 1, 0);
+  for (const uint32_t key : keys) {
+    if (key != kNoKey) ++dispatch_offsets_[key + 1];
+  }
+  for (size_t a = 0; a < num_keys; ++a) {
+    dispatch_offsets_[a + 1] += dispatch_offsets_[a];
+  }
+  dispatch_clusters_.resize(clusters_.size() - always_visit_.size());
+  std::vector<uint32_t> cursor(dispatch_offsets_.begin(),
+                               dispatch_offsets_.end() - 1);
+  for (size_t c = 0; c < clusters_.size(); ++c) {
+    if (keys[c] != kNoKey) {
+      dispatch_clusters_[cursor[keys[c]]++] = static_cast<uint32_t>(c);
+    }
+  }
+  visit_counts_.assign(clusters_.size(), 0);
 }
 
 void PcmMatcher::Build(const std::vector<BooleanExpression>& subscriptions) {
@@ -209,6 +262,7 @@ void PcmMatcher::Compact() {
     if (profiling) kept_profiles.push_back({0, 0, 0, 0});
   }
   clusters_ = std::move(kept);
+  BuildDispatch();
   if (adaptive) adaptive_ = std::move(kept_adaptive);
   if (profiling) {
     num_profiles_ = kept_profiles.size();
@@ -322,6 +376,48 @@ void PcmMatcher::MatchBatch(
   MatchBatchImpl(events.data(), events.size(), results);
 }
 
+void PcmMatcher::DispatchBatch(const Event* events, size_t num_events) {
+  // Pass 1: (cluster, event) pairs in batch order. An event reaches a keyed
+  // cluster when it carries the key and passes the cluster's full
+  // required-attribute check; it reaches every always-visit cluster.
+  visit_pairs_.clear();
+  visited_.clear();
+  const size_t num_keys = dispatch_offsets_.size() - 1;
+  auto visit = [this](uint32_t c, uint32_t ei) {
+    if (visit_counts_[c]++ == 0) visited_.push_back(c);
+    visit_pairs_.emplace_back(c, ei);
+  };
+  for (uint32_t ei = 0; ei < num_events; ++ei) {
+    const Event& event = events[ei];
+    for (const Event::Entry& entry : event.entries()) {
+      if (entry.attr >= num_keys) break;  // entries are sorted by attribute
+      for (uint32_t k = dispatch_offsets_[entry.attr];
+           k < dispatch_offsets_[entry.attr + 1]; ++k) {
+        const uint32_t c = dispatch_clusters_[k];
+        if (clusters_[c].HasRequiredAttributes(event)) visit(c, ei);
+      }
+    }
+    for (const uint32_t c : always_visit_) visit(c, ei);
+  }
+  // Pass 2: counting sort of the pairs by cluster. The scatter is stable,
+  // so every cluster's event list keeps batch order — what lets equal
+  // signatures share the absence phase (OSR).
+  std::sort(visited_.begin(), visited_.end());
+  visit_offsets_.resize(visited_.size() + 1);
+  uint32_t offset = 0;
+  for (size_t v = 0; v < visited_.size(); ++v) {
+    visit_offsets_[v] = offset;
+    offset += visit_counts_[visited_[v]];
+    visit_counts_[visited_[v]] = visit_offsets_[v];  // now a write cursor
+  }
+  visit_offsets_[visited_.size()] = offset;
+  visit_events_.resize(offset);
+  for (const auto& [c, ei] : visit_pairs_) {
+    visit_events_[visit_counts_[c]++] = ei;
+  }
+  for (const uint32_t c : visited_) visit_counts_[c] = 0;
+}
+
 void PcmMatcher::MatchBatchImpl(
     const Event* events, size_t num_events,
     std::vector<std::vector<SubscriptionId>>* results) {
@@ -352,14 +448,20 @@ void PcmMatcher::MatchBatchImpl(
     for (size_t i = 0; i < num_events; ++i) state->per_event[i].clear();
   }
 
-  // Matches `cluster` against every event of the batch in `mode`, using
-  // ts's scratch and appending matches to ts.per_event.
+  DispatchBatch(events, num_events);
+
+  // Matches `cluster` against the `count` batch events listed at
+  // `event_ids` (batch order) in `mode`, using ts's scratch and appending
+  // matches to ts.per_event.
   auto eval_cluster = [&](const CompressedCluster& cluster, EvalMode mode,
+                          const uint32_t* event_ids, size_t count,
                           ThreadState& ts) {
     ts.cache_valid = false;
+    ts.stats.clusters_visited += count;
     const uint64_t words = cluster.words();
     uint64_t* result = ts.result.data();
-    for (size_t ei = 0; ei < num_events; ++ei) {
+    for (size_t k = 0; k < count; ++k) {
+      const uint32_t ei = event_ids[k];
       const Event& event = events[ei];
       bool alive = false;
       if (mode == EvalMode::kCompressed) {
@@ -405,13 +507,14 @@ void PcmMatcher::MatchBatchImpl(
     return mode;
   };
 
-  // Cluster-parallel with *strided* assignment: thread t owns clusters
-  // {t, t+T, t+2T, ...}. Pivot sorting makes heavy clusters (popular
-  // pivots, rarely pruned) adjacent; contiguous ranges would hand one
-  // thread most of the work, striding spreads it. Each stripe is one
-  // ParallelFor item so every cluster keeps exactly one owner per batch
-  // (the adaptive Record below relies on that).
-  const auto num_stripes = static_cast<uint64_t>(options_.num_threads);
+  // Cluster-parallel with *strided* assignment over the visited clusters:
+  // thread t owns visited_[t], visited_[t+T], ... Pivot sorting makes heavy
+  // clusters (popular pivots, rarely pruned) adjacent; contiguous ranges
+  // would hand one thread most of the work, striding spreads it. Each
+  // stripe is one ParallelFor item so every cluster keeps exactly one owner
+  // per batch (the adaptive Record below relies on that).
+  const auto num_stripes = std::min<uint64_t>(
+      static_cast<uint64_t>(options_.num_threads), visited_.size());
   // Hot-spot profiler: 1 in hotspot_every batches also attributes wall
   // time and work counters to each cluster's profile. Off the sampled
   // batches the only cost is this one bool.
@@ -425,7 +528,11 @@ void PcmMatcher::MatchBatchImpl(
         Rng rng(options_.seed ^ (batch_counter_ * 0x9E3779B97F4A7C15ULL) ^
                 static_cast<uint64_t>(thread));
         for (uint64_t stripe = stripe_begin; stripe < stripe_end; ++stripe) {
-          for (uint64_t c = stripe; c < clusters_.size(); c += num_stripes) {
+          for (uint64_t v = stripe; v < visited_.size(); v += num_stripes) {
+            const uint32_t c = visited_[v];
+            const uint32_t* event_ids =
+                visit_events_.data() + visit_offsets_[v];
+            const uint32_t count = visit_offsets_[v + 1] - visit_offsets_[v];
             const EvalMode mode = choose_mode(c, rng);
             if (mode == EvalMode::kCompressed) {
               ++ts.counters.compressed_batches;
@@ -437,16 +544,16 @@ void PcmMatcher::MatchBatchImpl(
             // The adaptive controller learns from measured wall time —
             // the only cost signal that captures every real effect (cache
             // misses, branch behavior) for both modes. Timer overhead is
-            // two clock reads per (cluster, batch), noise vs. the loop.
+            // two clock reads per visited (cluster, batch).
             WallTimer cluster_timer;
-            eval_cluster(clusters_[c], mode, ts);
+            eval_cluster(clusters_[c], mode, event_ids, count, ts);
             const int64_t elapsed_ns = cluster_timer.ElapsedNanos();
             if (options_.mode == PcmMode::kAdaptive) {
               // Safe without synchronization: each cluster belongs to
-              // exactly one stripe of this ParallelFor.
-              adaptive_[c].Record(mode,
-                                  static_cast<double>(elapsed_ns) /
-                                      static_cast<double>(num_events));
+              // exactly one stripe of this ParallelFor. The cost is per
+              // event the cluster actually saw, not per batch event.
+              adaptive_[c].Record(mode, static_cast<double>(elapsed_ns) /
+                                            static_cast<double>(count));
             }
             if (profile_batch) {
               // Relaxed is enough: the cluster's single owner this batch
@@ -472,6 +579,7 @@ void PcmMatcher::MatchBatchImpl(
     ThreadState& ts = *thread_states_[0];
     uint64_t* result = ts.result.data();
     for (const CompressedCluster& cluster : delta_clusters_) {
+      ts.stats.clusters_visited += num_events;
       for (size_t ei = 0; ei < num_events; ++ei) {
         if (cluster.MatchCompressed(events[ei], result, &ts.stats)) {
           cluster.CollectMatches(result, &ts.per_event[ei]);
@@ -542,6 +650,9 @@ uint64_t PcmMatcher::MemoryBytes() const {
   for (const CompressedCluster& cluster : delta_clusters_) {
     bytes += cluster.MemoryBytes();
   }
+  bytes += (dispatch_offsets_.capacity() + dispatch_clusters_.capacity() +
+            always_visit_.capacity() + visit_counts_.capacity()) *
+           sizeof(uint32_t);
   bytes += delta_subs_.size() * sizeof(BooleanExpression) +
            (tombstones_.size() + known_ids_.size()) *
                (sizeof(SubscriptionId) + 8);

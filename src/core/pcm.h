@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/base/thread_pool.h"
@@ -28,7 +29,8 @@ struct PcmOptions {
   ClusterBuilderOptions clustering;
   PcmMode mode = PcmMode::kAdaptive;
   /// Worker threads for batch matching; each owns a stride of the clusters
-  /// and streams the whole batch through them. 1 = fully sequential.
+  /// the batch reaches and streams their events through them. 1 = fully
+  /// sequential.
   int num_threads = 1;
   /// Reuse the absence phase (phase 1) across consecutive batch events with
   /// the same attribute signature — the algorithmic payoff of OSR.
@@ -49,10 +51,12 @@ struct PcmOptions {
 };
 
 /// The paper's contribution: (Adaptive) Parallel Compressed Matching.
-/// Subscriptions are compressed into clusters (see CompressedCluster); a
-/// batch of events is matched cluster-major — each thread owns a contiguous
-/// range of clusters and streams the whole batch through each cluster while
-/// its masks are cache-resident. With PcmMode::kAdaptive, every cluster
+/// Subscriptions are compressed into clusters (see CompressedCluster). A
+/// dispatch index keys every cluster on one of its required attributes, so
+/// a batch first buckets its events into the clusters they can reach, then
+/// is matched cluster-major over those clusters only — each thread owns a
+/// stride of them and streams a cluster's events through it while its masks
+/// are cache-resident. With PcmMode::kAdaptive, every reached cluster
 /// chooses compressed vs. lazy evaluation per batch via its AdaptiveState.
 class PcmMatcher : public IncrementalMatcher {
  public:
@@ -159,15 +163,42 @@ class PcmMatcher : public IncrementalMatcher {
     std::atomic<uint64_t> candidates_checked{0};
   };
 
-  /// (Re)creates the adaptive states, thread pool, and per-thread scratch
-  /// for the current clusters_; shared by Build and LoadIndex.
+  /// (Re)creates the adaptive states, thread pool, per-thread scratch and
+  /// dispatch index for the current clusters_; shared by Build and
+  /// LoadIndex.
   void InitRuntime();
+
+  /// Rebuilds the dispatch index over clusters_. Every path that replaces
+  /// clusters_ (InitRuntime, Compact) calls it. O(clusters + their
+  /// attributes).
+  void BuildDispatch();
+
+  /// Buckets the batch's events into the main clusters they reach: fills
+  /// visited_ (ascending cluster ids) and visit_offsets_ / visit_events_
+  /// (each visited cluster's event indices, in batch order).
+  void DispatchBatch(const Event* events, size_t num_events);
 
   void MatchBatchImpl(const Event* events, size_t num_events,
                       std::vector<std::vector<SubscriptionId>>* results);
 
   PcmOptions options_;
   std::vector<CompressedCluster> clusters_;
+  /// Dispatch index, CSR over attribute ids: the main clusters keyed on
+  /// attribute a are dispatch_clusters_[dispatch_offsets_[a],
+  /// dispatch_offsets_[a + 1]). A cluster's key is the required attribute
+  /// the fewest subscriptions constrain (its pivot under kPivot). Clusters
+  /// without required attributes are in always_visit_ instead.
+  std::vector<uint32_t> dispatch_offsets_;
+  std::vector<uint32_t> dispatch_clusters_;
+  std::vector<uint32_t> always_visit_;
+  /// Per-batch dispatch scratch (see DispatchBatch), kept across batches so
+  /// steady-state matching allocates nothing. visit_counts_ is parallel to
+  /// clusters_ and all zero between batches.
+  std::vector<uint32_t> visit_counts_;
+  std::vector<std::pair<uint32_t, uint32_t>> visit_pairs_;  // (cluster, event)
+  std::vector<uint32_t> visited_;
+  std::vector<uint32_t> visit_offsets_;
+  std::vector<uint32_t> visit_events_;
   std::vector<AdaptiveState> adaptive_;
   /// One profile per main cluster (empty when hotspot_every == 0); atomics
   /// are not movable, so the table lives behind a unique_ptr array. Rebuilt

@@ -142,6 +142,10 @@ void StreamEngine::RegisterMetrics() {
   counter("apcm_matcher_predicate_evals_total",
           "Individual predicate evaluations (per-round matcher deltas).",
           stats_.matcher_predicate_evals);
+  counter("apcm_matcher_clusters_visited_total",
+          "(cluster, event) pairs the PCM dispatch index sent to a cluster "
+          "(per-round matcher deltas).",
+          stats_.matcher_clusters_visited);
   counter("apcm_matcher_bitmap_words_total",
           "64-bit bitmap words touched (per-round matcher deltas).",
           stats_.matcher_bitmap_words);
@@ -1029,6 +1033,11 @@ StatusOr<uint64_t> StreamEngine::TryPublish(Event event,
   }
 }
 
+void StreamEngine::ProcessPending() {
+  std::lock_guard<std::mutex> lock(process_mu_);
+  ProcessLocked();
+}
+
 void StreamEngine::Flush() {
   for (;;) {
     {
@@ -1316,6 +1325,9 @@ void StreamEngine::ProcessLocked() {
       std::memory_order_relaxed);
   stats_.matcher_matches_emitted.fetch_add(
       matcher_after.matches_emitted - matcher_before.matches_emitted,
+      std::memory_order_relaxed);
+  stats_.matcher_clusters_visited.fetch_add(
+      matcher_after.clusters_visited - matcher_before.clusters_visited,
       std::memory_order_relaxed);
 
   trace_.Record(TraceRing::Kind::kRoundEnd, round_events_.size(),

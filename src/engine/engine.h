@@ -57,6 +57,7 @@ struct EngineStats {
   std::atomic<uint64_t> matcher_bitmap_words{0};
   std::atomic<uint64_t> matcher_candidates_checked{0};
   std::atomic<uint64_t> matcher_matches_emitted{0};
+  std::atomic<uint64_t> matcher_clusters_visited{0};
   /// Wall time per processed batch, nanoseconds.
   ShardedHistogram batch_latency_ns;
   /// Publish-queue depth sampled at the start of every processing round.
@@ -254,6 +255,13 @@ class StreamEngine {
   /// rebuilds to quiesce. After Flush returns (and absent concurrent
   /// publishers), every published event has been delivered.
   void Flush();
+
+  /// Runs one processing round over the events buffered now, without
+  /// waiting on a background compaction: rounds keep matching against the
+  /// delta-laden snapshot until the compacted one publishes. The serving
+  /// loop's entry point; a round that needs a full rebuild (the first one,
+  /// or a matcher without a delta path) still waits for it.
+  void ProcessPending();
 
   /// Persists the live subscription set to a trace file ("*.txt" = text
   /// format, otherwise binary). Attribute names are synthesized as

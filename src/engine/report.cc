@@ -7,12 +7,13 @@ namespace apcm::engine {
 std::string RenderMatcherStats(const MatcherStats& stats) {
   return StringPrintf(
       "events=%s predicate_evals=%s bitmap_words=%s candidates=%s "
-      "matches=%s",
+      "matches=%s clusters_visited=%s",
       FormatWithCommas(stats.events_matched).c_str(),
       FormatWithCommas(stats.predicate_evals).c_str(),
       FormatWithCommas(stats.bitmap_words).c_str(),
       FormatWithCommas(stats.candidates_checked).c_str(),
-      FormatWithCommas(stats.matches_emitted).c_str());
+      FormatWithCommas(stats.matches_emitted).c_str(),
+      FormatWithCommas(stats.clusters_visited).c_str());
 }
 
 std::string RenderReport(const StreamEngine& engine) {

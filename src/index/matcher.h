@@ -20,6 +20,9 @@ struct MatcherStats {
   uint64_t bitmap_words = 0;       ///< 64-bit bitmap words touched
   uint64_t candidates_checked = 0; ///< expressions examined (full or partial)
   uint64_t matches_emitted = 0;    ///< total (event, subscription) matches
+  /// (cluster, event) pairs a cluster-based matcher evaluated: each event
+  /// counts once per cluster it reached. 0 for matchers without clusters.
+  uint64_t clusters_visited = 0;
 
   MatcherStats& operator+=(const MatcherStats& other) {
     events_matched += other.events_matched;
@@ -27,6 +30,7 @@ struct MatcherStats {
     bitmap_words += other.bitmap_words;
     candidates_checked += other.candidates_checked;
     matches_emitted += other.matches_emitted;
+    clusters_visited += other.clusters_visited;
     return *this;
   }
 };

@@ -131,21 +131,37 @@ void EventServer::Stop() {
   LogInfo("event server stopped");
 }
 
+void EventServer::WakePump() {
+  {
+    // Setting the flag under pump_mu_ orders it against the pump's
+    // predicate check: a wakeup between its check and its wait is not lost.
+    std::lock_guard<std::mutex> lock(pump_mu_);
+    pump_wakeup_ = true;
+  }
+  pump_cv_.notify_one();
+}
+
 void EventServer::PumpLoop() {
   std::unique_lock<std::mutex> lock(pump_mu_);
   while (!pump_stop_) {
-    if (engine_->queue_depth() > 0) {
+    if (pump_wakeup_ || engine_->queue_depth() > 0) {
+      pump_wakeup_ = false;
       lock.unlock();
       // Chaos seam: widen the ACKed-but-unflushed window the drain in
       // Stop() must cover.
       APCM_FAILPOINT("net.server.pump.flush");
-      engine_->Flush();
+      // One round, not Flush: Flush also waits out a background compaction,
+      // which would hold every MATCH for the length of a rebuild.
+      engine_->ProcessPending();
       // Wake every I/O thread: parked publishes can retry now, and fresh
       // MATCH frames are waiting to be written.
       reactor_->WakeAll();
       lock.lock();
     } else {
-      pump_cv_.wait_for(lock, std::chrono::milliseconds(5));
+      // The timeout covers events admitted without a WakePump (an inline
+      // round's leftovers, direct engine publishes).
+      pump_cv_.wait_for(lock, std::chrono::milliseconds(5),
+                        [this] { return pump_stop_ || pump_wakeup_; });
     }
   }
 }
@@ -307,7 +323,7 @@ void EventServer::HandlePublish(const Reactor::ConnPtr& conn, Frame frame) {
   StatusOr<uint64_t> id = engine_->TryPublish(std::move(frame.event), ingress);
   if (id.ok()) {
     SendAck(conn, frame.seq, *id);
-    pump_cv_.notify_one();
+    WakePump();
     return;
   }
   if (id.status().code() != StatusCode::kResourceExhausted) {
@@ -323,7 +339,7 @@ void EventServer::HandlePublish(const Reactor::ConnPtr& conn, Frame frame) {
   reactor_->PauseRead(conn);
   reactor_->RequestService(conn);
   backpressure_events_->Increment();
-  pump_cv_.notify_one();
+  WakePump();
   if (LogEnabled(LogLevel::kDebug)) {
     LogDebug("connection paused on engine backpressure",
              {{"conn", conn->id()},
@@ -341,7 +357,7 @@ bool EventServer::OnService(const Reactor::ConnPtr& conn) {
   SendAck(conn, session->pending->seq, *id);
   session->pending.reset();
   reactor_->ResumeRead(conn);
-  pump_cv_.notify_one();
+  WakePump();
   if (LogEnabled(LogLevel::kDebug)) {
     LogDebug("connection resumed after drain", {{"conn", conn->id()}});
   }

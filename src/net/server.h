@@ -153,6 +153,8 @@ class EventServer : private Reactor::Handler {
   };
 
   void PumpLoop();
+  /// Signals the pump that an event was admitted (safe from any thread).
+  void WakePump();
   /// Engine match callback: groups `matches` by subscribing connection and
   /// enqueues one MATCH frame per connection, then one PROGRESS frame per
   /// follower. Runs under the engine's processing lock (pump thread, or an
@@ -215,6 +217,8 @@ class EventServer : private Reactor::Handler {
   std::mutex pump_mu_;
   std::condition_variable pump_cv_;
   bool pump_stop_ = false;
+  /// Set by WakePump, cleared by the pump before each round (pump_mu_).
+  bool pump_wakeup_ = false;
 
   /// engine subscription id -> subscriber connection. Written by I/O
   /// threads (subscribe/unsubscribe/disconnect), read by the match callback.

@@ -590,6 +590,61 @@ TEST_F(ChaosTest, AckThenStopBeforeFlushDeliversEveryAckedMatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Scenario: a background compaction must not hold MATCH delivery. The
+// serving pump runs one round at a time and never waits on a rebuild, so
+// while an injected two-second compaction is in flight a fresh publish still
+// gets its MATCH.
+// ---------------------------------------------------------------------------
+
+TEST_F(ChaosTest, PumpDeliversWhileCompactionIsInFlight) {
+  EventServer server(SmallServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  Client subscriber;
+  ASSERT_TRUE(subscriber.Connect("127.0.0.1", server.port()).ok());
+  Client publisher;
+  ASSERT_TRUE(publisher.Connect("127.0.0.1", server.port()).ok());
+  // Publishes one event and returns how many subscriptions its MATCH named.
+  auto publish_and_await = [&](Value value) -> size_t {
+    auto id = publisher.Publish(Event::Create({{0, value}}).value());
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    const auto deadline = std::chrono::steady_clock::now() + kDeadline;
+    while (std::chrono::steady_clock::now() < deadline) {
+      auto match = subscriber.PollMatch(/*timeout_ms=*/100);
+      EXPECT_TRUE(match.ok()) << match.status().ToString();
+      if (match.ok() && match->has_value() && (*match)->event_id == *id) {
+        return (*match)->sub_ids.size();
+      }
+    }
+    ADD_FAILURE() << "no MATCH for event " << *id;
+    return 0;
+  };
+
+  for (uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(subscriber.Subscribe(i, "a0 >= 0").ok());
+  }
+  EXPECT_EQ(publish_and_await(1), 4u);  // first snapshot, built unarmed
+
+  // Four adds over four live subscriptions put the delta fraction at 0.5,
+  // past incremental_rebuild_threshold (0.25): the next round applies them
+  // and schedules a compaction, which the failpoint holds for 2 s.
+  const uint64_t hits0 = failpoint::Hits("engine.rebuild.start");
+  ASSERT_TRUE(
+      failpoint::Configure("engine.rebuild.start", "1*delay(2000000)").ok());
+  for (uint64_t i = 4; i < 8; ++i) {
+    ASSERT_TRUE(subscriber.Subscribe(i, "a0 >= 0").ok());
+  }
+  EXPECT_EQ(publish_and_await(2), 8u);
+  AwaitTrue([&] { return server.engine().rebuild_inflight(); },
+            "compaction never started");
+
+  EXPECT_EQ(publish_and_await(3), 8u);
+  EXPECT_TRUE(server.engine().rebuild_inflight())
+      << "the MATCH waited for the compaction to finish";
+  EXPECT_EQ(failpoint::Hits("engine.rebuild.start"), hits0 + 1);
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
 // Scenario: stop while a publish is parked on injected backpressure. The
 // parked event was never ACKed, so dropping it at shutdown is within
 // contract — and nothing ACKed may be lost with it.

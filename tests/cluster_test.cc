@@ -219,15 +219,17 @@ TEST(ClusterTest, RequiredAttributesComputed) {
           Predicate(7, Op::kGt, 0)}).value());
   const auto cluster = CompressedCluster::Build(Pointers(subs));
   EXPECT_EQ(cluster.required_attributes(), (std::vector<AttributeId>{3, 7}));
-  // An event missing attr 3 is rejected by the fast path, with zeroed
-  // output, in both modes.
+  // An event missing attr 3 is rejected by the fast path in both modes,
+  // before any result word is written (callers read `result` only on a true
+  // return, so the reject skips the zero-fill).
+  const Event missing = Event::Create({{5, 2}, {7, 1}}).value();
+  EXPECT_FALSE(cluster.HasRequiredAttributes(missing));
   std::vector<uint64_t> result(cluster.words(), ~0ULL);
   MatcherStats stats;
-  EXPECT_FALSE(cluster.ComputeAbsence(Event::Create({{5, 2}, {7, 1}}).value(),
-                                      result.data(), &stats));
-  EXPECT_TRUE(IsZeroWords(result.data(), cluster.words()));
-  EXPECT_FALSE(cluster.MatchLazy(Event::Create({{5, 2}, {7, 1}}).value(),
-                                 result.data(), &stats));
+  EXPECT_FALSE(cluster.ComputeAbsence(missing, result.data(), &stats));
+  EXPECT_FALSE(cluster.MatchLazy(missing, result.data(), &stats));
+  EXPECT_EQ(result, std::vector<uint64_t>(cluster.words(), ~0ULL));
+  EXPECT_EQ(stats.bitmap_words, 0u);
 }
 
 TEST(ClusterTest, MatchAllSubscriptionDisablesRequiredAttrs) {
@@ -324,6 +326,11 @@ TEST(ClusterTest, AttributesAccessorSorted) {
       1, {Predicate(5, Op::kEq, 1)}).value());
   const auto cluster = CompressedCluster::Build(Pointers(subs));
   EXPECT_EQ(cluster.Attributes(), (std::vector<AttributeId>{2, 5, 9}));
+  EXPECT_EQ(cluster.AttributeSubscribers(), (std::vector<uint32_t>{1, 1, 1}));
+  subs.push_back(BooleanExpression::Create(
+      2, {Predicate(5, Op::kGe, 0), Predicate(9, Op::kLt, 4)}).value());
+  const auto wider = CompressedCluster::Build(Pointers(subs));
+  EXPECT_EQ(wider.AttributeSubscribers(), (std::vector<uint32_t>{1, 2, 2}));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
+
 #include "tests/matcher_test_util.h"
 
 namespace apcm::core {
@@ -161,6 +166,9 @@ TEST(PcmTest, SharedAbsencePhaseWithIdenticalSignatureRuns) {
   auto run = [&](bool share) {
     PcmOptions options = BaseOptions();
     options.share_absence_phase = share;
+    // Full 64-subscription clusters: a cluster of at most 16 subscriptions
+    // skips phase 1's coverage counting, leaving no phase-1 work to share.
+    options.clustering.strategy = ClusterStrategy::kSignature;
     PcmMatcher matcher(options);
     matcher.Build(workload.subscriptions);
     std::vector<std::vector<SubscriptionId>> results;
@@ -172,6 +180,185 @@ TEST(PcmTest, SharedAbsencePhaseWithIdenticalSignatureRuns) {
   EXPECT_EQ(shared_results, plain_results);
   EXPECT_LT(shared_words, plain_words);
 }
+
+// ---------------------------------------------------------------------------
+// Dispatch differential: the attribute -> cluster dispatch index must send
+// every event to exactly the clusters whose required attributes it carries,
+// through every path that replaces or extends the clusters (Build, delta
+// clusters + pending tail + tombstones, Compact, LoadIndex), at every batch
+// size and thread count — judged against a SCAN over the live set.
+
+using DispatchParam = std::tuple<PcmMode, int, ClusterStrategy>;
+
+class PcmDispatchTest : public ::testing::TestWithParam<DispatchParam> {};
+
+/// SCAN over the live subscriptions, one sorted id list per event.
+std::vector<std::vector<SubscriptionId>> ScanLive(
+    const std::map<SubscriptionId, BooleanExpression>& live,
+    const std::vector<Event>& events) {
+  std::vector<std::vector<SubscriptionId>> expected(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    for (const auto& [id, sub] : live) {
+      if (sub.Matches(events[i])) expected[i].push_back(id);
+    }
+  }
+  return expected;
+}
+
+/// Matches `events` through MatchBatch in consecutive batches of `batch`.
+std::vector<std::vector<SubscriptionId>> MatchInBatches(
+    PcmMatcher& matcher, const std::vector<Event>& events, size_t batch) {
+  std::vector<std::vector<SubscriptionId>> all;
+  std::vector<std::vector<SubscriptionId>> results;
+  for (size_t begin = 0; begin < events.size(); begin += batch) {
+    const std::vector<Event> slice(
+        events.begin() + static_cast<ptrdiff_t>(begin),
+        events.begin() +
+            static_cast<ptrdiff_t>(std::min(events.size(), begin + batch)));
+    matcher.MatchBatch(slice, &results);
+    all.insert(all.end(), results.begin(), results.end());
+  }
+  return all;
+}
+
+/// Main-cluster visits the dispatch index owes `events`: one per (cluster,
+/// event) pair where the event carries every required attribute.
+uint64_t ExpectedVisits(const PcmMatcher& matcher,
+                        const std::vector<Event>& events) {
+  uint64_t visits = 0;
+  for (const Event& event : events) {
+    for (const CompressedCluster& cluster : matcher.clusters()) {
+      if (cluster.HasRequiredAttributes(event)) ++visits;
+    }
+  }
+  return visits;
+}
+
+void ExpectAgreesWithLive(
+    PcmMatcher& matcher, const std::vector<Event>& events,
+    const std::map<SubscriptionId, BooleanExpression>& live,
+    const std::string& phase) {
+  const auto expected = ScanLive(live, events);
+  for (const size_t batch : {size_t{1}, size_t{2}, size_t{256}}) {
+    const auto actual = MatchInBatches(matcher, events, batch);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i])
+          << matcher.Name() << " " << phase << " batch=" << batch
+          << " event " << i << ": " << events[i].ToString();
+    }
+  }
+}
+
+TEST_P(PcmDispatchTest, AgreesWithScanThroughEveryIndexPath) {
+  const auto [mode, threads, strategy] = GetParam();
+  workload::Workload workload = workload::Generate(GnarlySpec(131)).value();
+  // Match-all subscriptions: their clusters have no required attribute and
+  // must be visited by every event.
+  SubscriptionId next_id =
+      static_cast<SubscriptionId>(workload.subscriptions.size());
+  for (int i = 0; i < 3; ++i) {
+    workload.subscriptions.push_back(
+        BooleanExpression::Create(next_id++, {}).value());
+  }
+  PcmOptions options;
+  options.mode = mode;
+  options.num_threads = threads;
+  options.clustering.cluster_size = 32;
+  options.clustering.strategy = strategy;
+  options.delta_cluster_size = 16;
+  PcmMatcher matcher(options);
+  matcher.Build(workload.subscriptions);
+
+  // Events missing every required attribute of every cluster (so every
+  // pivot), the empty event, and attributes beyond any indexed one: only
+  // the always-visit clusters can be reached.
+  std::set<AttributeId> required;
+  for (const CompressedCluster& cluster : matcher.clusters()) {
+    required.insert(cluster.required_attributes().begin(),
+                    cluster.required_attributes().end());
+  }
+  std::vector<Event> events = workload.events;
+  std::vector<Event> pivotless;
+  for (size_t i = 0; i < 20; ++i) {
+    std::vector<Event::Entry> kept;
+    for (const Event::Entry& entry : workload.events[i].entries()) {
+      if (!required.contains(entry.attr)) kept.push_back(entry);
+    }
+    pivotless.push_back(Event::Create(std::move(kept)).value());
+  }
+  pivotless.push_back(Event());
+  pivotless.push_back(Event::Create({{1000, 5}, {5000, 1}}).value());
+  events.insert(events.end(), pivotless.begin(), pivotless.end());
+
+  std::map<SubscriptionId, BooleanExpression> live;
+  for (const BooleanExpression& sub : workload.subscriptions) {
+    live.emplace(sub.id(), sub);
+  }
+  ExpectAgreesWithLive(matcher, events, live, "build");
+
+  // The index reaches exactly the clusters an event can match in.
+  const uint64_t visits_before = matcher.stats().clusters_visited;
+  std::vector<std::vector<SubscriptionId>> results;
+  matcher.MatchBatch(events, &results);
+  EXPECT_EQ(matcher.stats().clusters_visited - visits_before,
+            ExpectedVisits(matcher, events));
+  const uint64_t pivotless_before = matcher.stats().clusters_visited;
+  matcher.MatchBatch(pivotless, &results);
+  const auto always_visit = static_cast<uint64_t>(std::count_if(
+      matcher.clusters().begin(), matcher.clusters().end(),
+      [](const CompressedCluster& c) {
+        return c.required_attributes().empty();
+      }));
+  EXPECT_GT(always_visit, 0u);  // the match-all subscriptions' clusters
+  EXPECT_EQ(matcher.stats().clusters_visited - pivotless_before,
+            always_visit * pivotless.size());
+
+  // Delta clusters + pending tail + tombstones: 40 adds at a delta cluster
+  // size of 16 leave two delta clusters and an 8-subscription tail.
+  const workload::Workload extra =
+      workload::Generate(GnarlySpec(132)).value();
+  for (size_t i = 0; i < 40; ++i) {
+    BooleanExpression sub = extra.subscriptions[i];
+    sub = BooleanExpression::Create(next_id++, sub.predicates()).value();
+    live.emplace(sub.id(), sub);
+    matcher.AddIncremental(std::move(sub));
+  }
+  for (const SubscriptionId id :
+       {SubscriptionId{0}, SubscriptionId{7}, SubscriptionId{150},
+        static_cast<SubscriptionId>(workload.subscriptions.size()),
+        next_id - 1, next_id - 30}) {
+    ASSERT_TRUE(matcher.RemoveIncremental(id).ok()) << id;
+    live.erase(id);
+  }
+  ExpectAgreesWithLive(matcher, events, live, "delta");
+
+  matcher.Compact();
+  EXPECT_EQ(matcher.DeltaFraction(), 0.0);
+  ExpectAgreesWithLive(matcher, events, live, "compact");
+  const uint64_t compacted_before = matcher.stats().clusters_visited;
+  matcher.MatchBatch(events, &results);
+  EXPECT_EQ(matcher.stats().clusters_visited - compacted_before,
+            ExpectedVisits(matcher, events));
+
+  // Round trip through an index image into a fresh matcher.
+  std::stringstream image;
+  ASSERT_TRUE(matcher.SaveIndex(image).ok());
+  std::vector<BooleanExpression> live_subs;
+  for (const auto& [id, sub] : live) live_subs.push_back(sub);
+  PcmMatcher loaded(options);
+  ASSERT_TRUE(loaded.LoadIndex(live_subs, image).ok());
+  ExpectAgreesWithLive(loaded, events, live, "load");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, PcmDispatchTest,
+    ::testing::Combine(::testing::Values(PcmMode::kCompressed, PcmMode::kLazy,
+                                         PcmMode::kAdaptive),
+                       ::testing::Values(1, 4),
+                       ::testing::Values(ClusterStrategy::kPivot,
+                                         ClusterStrategy::kSignature,
+                                         ClusterStrategy::kInsertionOrder)));
 
 TEST(PcmTest, Names) {
   PcmOptions options;

@@ -322,22 +322,30 @@ TEST(ReportTest, LiveEngineReportHasRegistryMetrics) {
         << "missing '" << needle << "' in:\n"
         << report;
   }
-  // Every line is "key: value".
+  // Every line is "key: value". The one event reached the one cluster.
   std::stringstream ss(report);
   std::string line;
+  bool saw_visits = false;
   while (std::getline(ss, line)) {
     if (line.empty()) continue;
     EXPECT_NE(line.find(':'), std::string::npos) << "bad line: " << line;
+    if (line.starts_with("apcm_matcher_clusters_visited_total:")) {
+      saw_visits = true;
+      EXPECT_TRUE(line.ends_with(" 1")) << line;
+    }
   }
+  EXPECT_TRUE(saw_visits) << report;
 }
 
 TEST(ReportTest, MatcherStatsRendering) {
   MatcherStats stats;
   stats.events_matched = 7;
   stats.predicate_evals = 1000;
+  stats.clusters_visited = 2048;
   const std::string line = RenderMatcherStats(stats);
   EXPECT_NE(line.find("events=7"), std::string::npos);
   EXPECT_NE(line.find("predicate_evals=1,000"), std::string::npos);
+  EXPECT_NE(line.find("clusters_visited=2,048"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
